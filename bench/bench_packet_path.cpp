@@ -144,7 +144,7 @@ PathCost measure_path(std::size_t iters, const Fn& fn) {
   const std::uint64_t a0 = g_heap_allocs.load(std::memory_order_relaxed);
   const std::uint64_t b0 = g_heap_bytes.load(std::memory_order_relaxed);
   const auto t0 = std::chrono::steady_clock::now();
-  for (std::size_t i = 0; i < iters; ++i) sink += fn();
+  for (std::size_t i = 0; i < iters; ++i) sink = sink + fn();
   const auto t1 = std::chrono::steady_clock::now();
   const double n = static_cast<double>(iters);
   c.allocs_per_seg =

@@ -52,9 +52,9 @@ FaultDetector::FaultDetector(apps::Host& host, ip::Ipv4 peer, SimDuration period
       period_(period),
       timeout_(timeout),
       src_(src),
-      auth_seed_(auth_seed),
       send_timer_(host.simulator()),
-      deadline_(host.simulator()) {
+      deadline_(host.simulator()),
+      auth_seed_(auth_seed) {
   // Registry counters are cumulative across detector instances on the
   // host; the accessors stay per-instance (a replaced detector restarts
   // its own counts), so both are kept.

@@ -110,7 +110,9 @@ TEST_F(ChurnFixture, ConnectionIdsAreNeverReused) {
 // through its promiscuous tap — takes over, finishes the handshake via
 // SYN-ACK retransmission, and serves the connection's first request.
 TEST(SessionChurnFailover, HandshakeStartedOnPrimaryServedBySecondary) {
-  auto r = test::make_replicated_lan({}, {.ports = {8080}}, /*with_echo=*/false);
+  core::FailoverConfig cfg;
+  cfg.ports = {8080};
+  auto r = test::make_replicated_lan({}, cfg, /*with_echo=*/false);
   HttpServer web_p(r->primary().tcp(), 8080);
   HttpServer web_s(r->secondary().tcp(), 8080);
   for (HttpServer* w : {&web_p, &web_s}) {

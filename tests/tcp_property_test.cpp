@@ -4,6 +4,7 @@
 // equal the sent byte stream exactly.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <sstream>
 
 #include "apps/topology.hpp"
@@ -17,20 +18,28 @@ using apps::LanParams;
 using apps::make_lan;
 using test::run_until;
 
+// GoogleTest prints a parameter without operator<< as its raw bytes, and
+// CTest's test discovery puts that print into each test's name. Every
+// byte is therefore a named, zero-initialised field: implicit padding
+// would carry stack garbage into the names and change them build to build.
 struct SweepParam {
   std::uint16_t mss_client = 1460;
   std::uint16_t mss_server = 1460;
+  std::uint32_t reserved0 = 0;
   std::size_t send_buf = 65536;
   std::size_t recv_buf = 65536;
   bool nagle = true;
   bool congestion_control = true;
+  std::array<std::uint8_t, 6> reserved1{};
   SimDuration delack = milliseconds(100);
   double loss = 0.0;
   std::size_t transfer = 100 * 1024;
   bool bidirectional = false;
+  std::array<std::uint8_t, 7> reserved2{};
   std::uint64_t seed = 1;
   const char* label = "";
 };
+static_assert(sizeof(SweepParam) == 80, "SweepParam must have no implicit padding");
 
 std::string param_name(const ::testing::TestParamInfo<SweepParam>& info) {
   return info.param.label;
