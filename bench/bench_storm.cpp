@@ -11,7 +11,12 @@
 //   * per-connection takeover latency: each client connection sends a
 //     probe the instant the primary dies and the stall until its echo
 //     returns is one sample — p50/p99 over all N;
-//   * scheduler counters (wheel inserts, cascades, exact-heap traffic).
+//   * scheduler counters (wheel inserts, cascades, exact-heap traffic);
+//   * the bridge's expiry-sweep work per connection opened
+//     (bridge.sweep_scanned / N). Every connection queues one handshake
+//     deadline, so this stays near 1 at every N; a sweep that rescans its
+//     tables per deadline makes it grow ~N/2, and the schema gate in
+//     scripts/check_bench_json.py fails any point above 4.
 //
 // A scheduler A/B phase also measures heap allocations per
 // armed-then-cancelled timer (the dominant timer pattern: every ACK
@@ -129,6 +134,7 @@ struct StormResult {
   std::uint64_t bytes_per_conn = 0;
   double p50_ns = -1;
   double p99_ns = -1;
+  double sweep_scanned_per_conn = 0;
   double wall_s = 0;
   sim::Simulator::Stats sched;
   bool ok = false;
@@ -270,6 +276,10 @@ StormResult run_storm(std::size_t n_conns, BenchJson* json) {
   r.p50_ns = latency.percentile(50);
   r.p99_ns = latency.percentile(99);
   r.sched = t.sim().stats();
+  r.sweep_scanned_per_conn =
+      static_cast<double>(
+          t.lan->primary->obs().registry.counter_value("bridge.sweep_scanned")) /
+      static_cast<double>(n_conns);
   r.wall_s = std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                            wall_start)
                  .count();
@@ -327,7 +337,8 @@ int main(int argc, char** argv) {
 
   BenchJson json("storm");
   TextTable table({"conns", "mem/conn", "takeover p50 [ms]",
-                   "takeover p99 [ms]", "wheel inserts", "cascades", "wall [s]"});
+                   "takeover p99 [ms]", "wheel inserts", "cascades",
+                   "sweep/conn", "wall [s]"});
   std::vector<StormResult> results;
   for (std::size_t n : sizes) {
     std::printf("\nrunning storm N=%zu ...\n", n);
@@ -342,12 +353,15 @@ int main(int argc, char** argv) {
                    TextTable::num(r.p50_ns / 1e6, 2),
                    TextTable::num(r.p99_ns / 1e6, 2),
                    std::to_string(r.sched.wheel_inserts),
-                   std::to_string(r.sched.cascades), TextTable::num(r.wall_s, 1)});
+                   std::to_string(r.sched.cascades),
+                   TextTable::num(r.sweep_scanned_per_conn, 2),
+                   TextTable::num(r.wall_s, 1)});
     results.push_back(r);
   }
   std::printf("%s", table.render().c_str());
   std::printf("expected shape: p50 ~ detector timeout + probe retransmission;\n"
-              "p99 adds the takeover burst's queueing; mem/conn flat in N.\n");
+              "p99 adds the takeover burst's queueing; mem/conn and\n"
+              "sweep/conn flat in N.\n");
   json.add_table("failover storm: population size vs takeover latency", table);
 
   // Machine-readable storm section (validated by check_bench_json.py).
@@ -361,6 +375,7 @@ int main(int argc, char** argv) {
       w.key("bytes_per_conn").value(r.bytes_per_conn);
       w.key("takeover_p50_ns").value(r.p50_ns);
       w.key("takeover_p99_ns").value(r.p99_ns);
+      w.key("sweep_scanned_per_conn").value(r.sweep_scanned_per_conn);
       w.end_object();
     }
     w.end_array();

@@ -119,6 +119,12 @@ def _check_profiles(profiles):
                     f"profiles[{i}].oracles['{name}'] is not a bool")
 
 
+# Expiry-sweep entries popped per connection opened. One handshake
+# deadline per connection puts a healthy bridge near 1 at every N; a sweep
+# that rescans its tables on each deadline costs ~N/2 and fails here.
+STORM_SWEEP_PER_CONN_MAX = 4
+
+
 def _check_storm(storm):
     _expect(isinstance(storm, dict), "'storm' is not an object")
     for key in ("points", "alloc"):
@@ -130,7 +136,7 @@ def _check_storm(storm):
     for i, p in enumerate(points):
         _expect(isinstance(p, dict), f"storm.points[{i}] is not an object")
         for key in ("conns", "bytes_per_conn", "takeover_p50_ns",
-                    "takeover_p99_ns"):
+                    "takeover_p99_ns", "sweep_scanned_per_conn"):
             _expect(key in p, f"storm.points[{i}] missing '{key}'")
             _expect(isinstance(p[key], (int, float)) and p[key] >= 0,
                     f"storm.points[{i}].{key} is not a non-negative number")
@@ -139,6 +145,10 @@ def _check_storm(storm):
         prev_conns = p["conns"]
         _expect(p["takeover_p99_ns"] >= p["takeover_p50_ns"],
                 f"storm.points[{i}]: p99 below p50")
+        _expect(p["sweep_scanned_per_conn"] <= STORM_SWEEP_PER_CONN_MAX,
+                f"storm.points[{i}].sweep_scanned_per_conn "
+                f"{p['sweep_scanned_per_conn']} above "
+                f"{STORM_SWEEP_PER_CONN_MAX}: sweep work grows with N")
     alloc = storm["alloc"]
     _expect(isinstance(alloc, dict), "storm.alloc is not an object")
     for key in ("cycles", "legacy_allocs", "wheel_allocs", "ratio"):
@@ -360,9 +370,11 @@ def self_test():
         "storm": {
             "points": [
                 {"conns": 1000, "bytes_per_conn": 7000,
-                 "takeover_p50_ns": 2.0e8, "takeover_p99_ns": 2.1e8},
+                 "takeover_p50_ns": 2.0e8, "takeover_p99_ns": 2.1e8,
+                 "sweep_scanned_per_conn": 1.0},
                 {"conns": 100000, "bytes_per_conn": 6800,
-                 "takeover_p50_ns": 2.0e8, "takeover_p99_ns": 3.5e8},
+                 "takeover_p50_ns": 2.0e8, "takeover_p99_ns": 3.5e8,
+                 "sweep_scanned_per_conn": 1.0},
             ],
             "alloc": {"cycles": 200000, "legacy_allocs": 400000,
                       "wheel_allocs": 0, "ratio": 400000.0},
@@ -450,6 +462,10 @@ def self_test():
             conns=1000)),
         ("storm negative bytes", lambda d: d["storm"]["points"][0].update(
             bytes_per_conn=-1)),
+        ("storm point missing sweep_scanned_per_conn",
+         lambda d: d["storm"]["points"][1].pop("sweep_scanned_per_conn")),
+        ("storm sweep work grows with N", lambda d: d["storm"]["points"][1].update(
+            sweep_scanned_per_conn=2500.0)),
         ("storm alloc missing ratio", lambda d: d["storm"]["alloc"].pop("ratio")),
         ("storm ratio below gate", lambda d: d["storm"]["alloc"].update(
             ratio=2.0)),

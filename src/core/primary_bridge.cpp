@@ -22,6 +22,7 @@ PrimaryBridge::PrimaryBridge(apps::Host& host, FailoverConfig cfg)
   ctr_stray_fin_suppressed_ = &reg.counter("bridge.stray_fin_suppressed");
   ctr_divergences_ = &reg.counter("bridge.divergences");
   ctr_embryonic_reaped_ = &reg.counter("bridge.embryonic_reaped");
+  ctr_sweep_scanned_ = &reg.counter("bridge.sweep_scanned");
   ctr_spoof_dropped_ = &reg.counter("bridge.spoof_dropped");
   ctr_mirrored_ = &reg.counter("bridge.mirrored_datagrams");
   ctr_client_migrated_ = &reg.counter("bridge.client_migrated");
@@ -107,10 +108,8 @@ BridgeConn& PrimaryBridge::conn_for(const ConnKey& key) {
     // Watch the handshake: if it never completes (SYN dropped in a
     // backlog overflow, client gone), the sweep reaps this entry — a SYN
     // burst must not grow the bridge table without bound.
-    const SimTime deadline =
-        host_.simulator().now() + static_cast<SimTime>(tombstone_ttl_);
-    embryonic_.insert_or_assign(key, deadline);
-    arm_tombstone_sweep(deadline);
+    set_deadline(Expiry::kHandshakeWatch, key,
+                 host_.simulator().now() + static_cast<SimTime>(tombstone_ttl_));
     publish_gauges();
     note_event(obs::EventKind::kConnCreated, key);
     TFO_LOG(kDebug, "bridge") << "primary bridge: new connection " << key.str();
@@ -295,11 +294,12 @@ void PrimaryBridge::rekey_remote(const ConnKey& old_key, ip::Ipv4 new_remote) {
   conn->rebind_remote(new_remote);
   const ConnKey key = conn->key();
   conns_.insert_or_assign(key, std::move(conn));
-  // Carry pending expiry bookkeeping across the rekey.
+  // Carry pending expiry bookkeeping across the rekey. The old key's
+  // queue entry goes stale; the deadline is re-queued under the new key.
   if (const SimTime* d = embryonic_.find_value(old_key)) {
     const SimTime deadline = *d;
     embryonic_.erase(old_key);
-    embryonic_.insert_or_assign(key, deadline);
+    set_deadline(Expiry::kHandshakeWatch, key, deadline);
   }
 }
 
@@ -337,13 +337,11 @@ void PrimaryBridge::fully_closed(const ConnKey& key) {
 }
 
 void PrimaryBridge::schedule_removal(const ConnKey& key) {
-  const SimTime expiry =
-      host_.simulator().now() + static_cast<SimTime>(tombstone_ttl_);
-  tombstones_.insert_or_assign(key, expiry);
+  set_deadline(Expiry::kTombstone, key,
+               host_.simulator().now() + static_cast<SimTime>(tombstone_ttl_));
   note_event(obs::EventKind::kTombstoneCreated, key,
              "ttl_ns=" + std::to_string(tombstone_ttl_));
   publish_gauges();
-  arm_tombstone_sweep(expiry);
   // Deferred erase: we may be inside this connection's own event handler.
   // Removals arriving in the same instant share one event (a mass-close
   // storm would otherwise schedule one per connection). The sentinel
@@ -361,10 +359,23 @@ void PrimaryBridge::schedule_removal(const ConnKey& key) {
   }
 }
 
+void PrimaryBridge::set_deadline(Expiry kind, const ConnKey& key, SimTime at) {
+  auto& map = kind == Expiry::kTombstone ? tombstones_ : embryonic_;
+  map.insert_or_assign(key, at);
+  sweep_queue_.push({at, key, kind});
+  arm_tombstone_sweep(at);
+}
+
+bool PrimaryBridge::live(const Deadline& d) const {
+  const auto& map = d.kind == Expiry::kTombstone ? tombstones_ : embryonic_;
+  const SimTime* at = map.find_value(d.key);
+  return at != nullptr && *at == d.at;
+}
+
 void PrimaryBridge::arm_tombstone_sweep(SimTime deadline) {
   // One timer tracks the earliest pending expiry; sweeping re-arms it for
-  // the next. Entries all share one TTL, so a later insert never needs to
-  // pull the deadline earlier.
+  // the next. Entries all share one TTL (a rekey keeps its deadline), so
+  // a later insert never needs to pull the deadline earlier.
   if (sweep_timer_.armed() && sweep_timer_.deadline() <= deadline) return;
   sweep_timer_.start(static_cast<SimDuration>(deadline - host_.simulator().now()),
                      [this] { sweep_tombstones(); });
@@ -372,42 +383,37 @@ void PrimaryBridge::arm_tombstone_sweep(SimTime deadline) {
 
 void PrimaryBridge::sweep_tombstones() {
   const SimTime now = host_.simulator().now();
-  std::vector<ConnKey> expired;
-  SimTime next = 0;
-  tombstones_.for_each([&](const ConnKey& key, SimTime deadline) {
-    if (deadline <= now) {
-      expired.push_back(key);
-    } else if (next == 0 || deadline < next) {
-      next = deadline;
+  // Entries due together are handled in (deadline, key) order, so
+  // same-sweep tombstone_expired events are logged in that order.
+  while (!sweep_queue_.empty() && sweep_queue_.top().at <= now) {
+    const Deadline d = sweep_queue_.top();
+    sweep_queue_.pop();
+    ctr_sweep_scanned_->inc();
+    if (!live(d)) continue;
+    if (d.kind == Expiry::kTombstone) {
+      note_event(obs::EventKind::kTombstoneExpired, d.key);
+      tombstones_.erase(d.key);
+      continue;
     }
-  });
-  for (const ConnKey& key : expired) {
-    note_event(obs::EventKind::kTombstoneExpired, key);
-    tombstones_.erase(key);
-  }
-  // Handshake watch: entries past their deadline leave the watch list;
-  // those whose BridgeConn never completed the handshake take the
-  // stillborn connection state with them.
-  std::vector<ConnKey> watch_done;
-  embryonic_.for_each([&](const ConnKey& key, SimTime deadline) {
-    if (deadline <= now) {
-      watch_done.push_back(key);
-    } else if (next == 0 || deadline < next) {
-      next = deadline;
-    }
-  });
-  for (const ConnKey& key : watch_done) {
-    embryonic_.erase(key);
-    auto* v = conns_.find_value(key);
+    // Handshake watch over: the entry leaves the watch list, and a
+    // BridgeConn that never completed the handshake goes with it.
+    embryonic_.erase(d.key);
+    auto* v = conns_.find_value(d.key);
     if (v != nullptr && !(*v)->handshake_done()) {
-      conns_.erase(key);
+      conns_.erase(d.key);
       ctr_embryonic_reaped_->inc();
       TFO_LOG(kDebug, "bridge")
-          << "primary bridge: reaped embryonic connection " << key.str();
+          << "primary bridge: reaped embryonic connection " << d.key.str();
     }
   }
   publish_gauges();
-  if (next != 0) arm_tombstone_sweep(next);
+  // Re-arm for the earliest *live* deadline, exactly as a scan of both
+  // maps would: stale entries above it would only fire empty sweeps.
+  while (!sweep_queue_.empty() && !live(sweep_queue_.top())) {
+    sweep_queue_.pop();
+    ctr_sweep_scanned_->inc();
+  }
+  if (!sweep_queue_.empty()) arm_tombstone_sweep(sweep_queue_.top().at);
 }
 
 bool PrimaryBridge::tombstoned(const ConnKey& key) const {

@@ -12,7 +12,9 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
+#include <queue>
 #include <vector>
 
 #include "apps/host.hpp"
@@ -100,11 +102,30 @@ class PrimaryBridge : public BridgeConnSink {
   BridgeConn& conn_for(const tcp::ConnKey& key);
   void schedule_removal(const tcp::ConnKey& key);
   bool tombstoned(const tcp::ConnKey& key) const;
-  /// (Re)arms the sweep timer for the earliest tombstone deadline.
+
+  /// Which deadline map a sweep-queue entry belongs to.
+  enum class Expiry : std::uint8_t { kTombstone, kHandshakeWatch };
+  /// One pending deadline. Ordered by (at, key, kind), which is also the
+  /// order in which a sweep processes entries that expire together.
+  struct Deadline {
+    SimTime at = 0;
+    tcp::ConnKey key;
+    Expiry kind = Expiry::kTombstone;
+    friend auto operator<=>(const Deadline&, const Deadline&) = default;
+  };
+  /// Sets `key`'s deadline in the map for `kind`, queues it and arms the
+  /// sweep timer if it is the earliest.
+  void set_deadline(Expiry kind, const tcp::ConnKey& key, SimTime at);
+  /// True while the map for `d.kind` still holds exactly `d.at` for
+  /// `d.key`; any other queue entry is stale.
+  bool live(const Deadline& d) const;
+  /// (Re)arms the sweep timer for `deadline` unless it already fires no
+  /// later.
   void arm_tombstone_sweep(SimTime deadline);
-  /// Timer-driven tombstone expiry: runs at the earliest deadline and
-  /// re-arms for the next one, so an idle bridge still drains its table
-  /// (the old expiry only ran opportunistically on incoming traffic).
+  /// Timer-driven expiry of both deadline maps: pops every queue entry
+  /// due by now (stale ones do nothing), then drops stale entries off the
+  /// top and re-arms for the earliest live deadline. Work is O(log N) per
+  /// popped entry, and every entry is popped once.
   void sweep_tombstones();
   void ack_stray_fin_from_remote(const tcp::TcpSegment& seg, ip::Ipv4 remote,
                                  ip::Ipv4 local);
@@ -123,7 +144,8 @@ class PrimaryBridge : public BridgeConnSink {
   FlatSet<tcp::ConnKey, tcp::ConnKeyHash> excluded_;
   /// Recently closed connections (§8: the bridge must still acknowledge
   /// FIN retransmissions after deleting a connection's data structures),
-  /// keyed to their expiry time. Drained by sweep_timer_.
+  /// keyed to their expiry time. The O(1) membership test and the
+  /// authoritative deadline; sweep_queue_ says when to look.
   FlatMap<tcp::ConnKey, SimTime, tcp::ConnKeyHash> tombstones_;
   /// Newly created bridge connections, keyed to a handshake deadline. A
   /// client SYN creates a BridgeConn before the server TCP decides to
@@ -131,8 +153,14 @@ class PrimaryBridge : public BridgeConnSink {
   /// vanishes), no teardown ever fires fully_closed, and without this
   /// sweep a SYN burst would grow conns_ forever. Entries whose
   /// connection completed the handshake are simply dropped at deadline;
-  /// the rest are reaped (bridge.embryonic_reaped).
+  /// the rest are reaped (bridge.embryonic_reaped). Authoritative like
+  /// tombstones_; sweep_queue_ orders the deadlines.
   FlatMap<tcp::ConnKey, SimTime, tcp::ConnKeyHash> embryonic_;
+  /// Min-ordered deadlines of both maps, with lazy deletion: a re-set or
+  /// erased deadline leaves its old entry behind, and the sweep discards
+  /// it when it surfaces (see live()). Not a FIFO, because a rekey
+  /// re-queues an older deadline under the new key.
+  std::priority_queue<Deadline, std::vector<Deadline>, std::greater<>> sweep_queue_;
   SimDuration tombstone_ttl_;
   sim::Timer sweep_timer_;
   /// Connections awaiting deferred erase (batched into one event per
@@ -152,6 +180,7 @@ class PrimaryBridge : public BridgeConnSink {
   obs::Counter* ctr_stray_fin_suppressed_ = nullptr;
   obs::Counter* ctr_divergences_ = nullptr;
   obs::Counter* ctr_embryonic_reaped_ = nullptr;
+  obs::Counter* ctr_sweep_scanned_ = nullptr;
   obs::Counter* ctr_spoof_dropped_ = nullptr;
   obs::Counter* ctr_mirrored_ = nullptr;
   obs::Counter* ctr_client_migrated_ = nullptr;
