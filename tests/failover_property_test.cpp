@@ -3,6 +3,9 @@
 // and the secondary bridge's snoop-filtering rules.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdint>
+
 #include "apps/trace.hpp"
 #include "failover_fixture.hpp"
 #include "ip/datagram.hpp"
@@ -16,11 +19,16 @@ using test::run_until;
 
 // ----------------------------------------------- crash-at-time property
 
+// GoogleTest prints the raw bytes of a parameter into the test name, so
+// the padding after crash_primary is a named zeroed field: the names stay
+// the same from build to build.
 struct CrashParam {
-  bool crash_primary;
-  SimDuration at;
-  const char* label;
+  bool crash_primary = false;
+  std::array<std::uint8_t, 7> reserved{};
+  SimDuration at = 0;
+  const char* label = "";
 };
+static_assert(sizeof(CrashParam) == 24);
 
 class CrashTimeSweep : public ::testing::TestWithParam<CrashParam> {};
 
@@ -43,18 +51,18 @@ TEST_P(CrashTimeSweep, ByteStreamIntact) {
 INSTANTIATE_TEST_SUITE_P(
     Times, CrashTimeSweep,
     ::testing::Values(
-        CrashParam{true, 0, "P_at_t0"},
-        CrashParam{true, microseconds(100), "P_during_handshake"},
-        CrashParam{true, microseconds(500), "P_at_500us"},
-        CrashParam{true, milliseconds(2), "P_at_2ms"},
-        CrashParam{true, milliseconds(10), "P_at_10ms"},
-        CrashParam{true, milliseconds(40), "P_at_40ms"},
-        CrashParam{false, 0, "S_at_t0"},
-        CrashParam{false, microseconds(100), "S_during_handshake"},
-        CrashParam{false, microseconds(500), "S_at_500us"},
-        CrashParam{false, milliseconds(2), "S_at_2ms"},
-        CrashParam{false, milliseconds(10), "S_at_10ms"},
-        CrashParam{false, milliseconds(40), "S_at_40ms"}),
+        CrashParam{.crash_primary = true, .at = 0, .label = "P_at_t0"},
+        CrashParam{.crash_primary = true, .at = microseconds(100), .label = "P_during_handshake"},
+        CrashParam{.crash_primary = true, .at = microseconds(500), .label = "P_at_500us"},
+        CrashParam{.crash_primary = true, .at = milliseconds(2), .label = "P_at_2ms"},
+        CrashParam{.crash_primary = true, .at = milliseconds(10), .label = "P_at_10ms"},
+        CrashParam{.crash_primary = true, .at = milliseconds(40), .label = "P_at_40ms"},
+        CrashParam{.crash_primary = false, .at = 0, .label = "S_at_t0"},
+        CrashParam{.crash_primary = false, .at = microseconds(100), .label = "S_during_handshake"},
+        CrashParam{.crash_primary = false, .at = microseconds(500), .label = "S_at_500us"},
+        CrashParam{.crash_primary = false, .at = milliseconds(2), .label = "S_at_2ms"},
+        CrashParam{.crash_primary = false, .at = milliseconds(10), .label = "S_at_10ms"},
+        CrashParam{.crash_primary = false, .at = milliseconds(40), .label = "S_at_40ms"}),
     [](const ::testing::TestParamInfo<CrashParam>& info) { return info.param.label; });
 
 // ------------------------------------------------------- multiple hosts

@@ -3,6 +3,9 @@
 // data delivered, and the connection tables drained.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdint>
+
 #include "apps/topology.hpp"
 #include "ip/datagram.hpp"
 #include "test_util.hpp"
@@ -15,14 +18,20 @@ using apps::LanParams;
 using apps::make_lan;
 using test::run_until;
 
+// GoogleTest prints the raw bytes of a parameter into the test name, so
+// the padding after each bool is a named zeroed field: the names stay the
+// same from build to build.
 struct CloseParam {
-  bool client_first;       // who calls close() first
-  std::size_t client_data;  // bytes still being sent by the client
-  std::size_t server_data;  // bytes still being sent by the server
-  double loss;
-  bool simultaneous;        // both close() in the same instant
-  const char* label;
+  bool client_first = false;  // who calls close() first
+  std::array<std::uint8_t, 7> reserved0{};
+  std::size_t client_data = 0;  // bytes still being sent by the client
+  std::size_t server_data = 0;  // bytes still being sent by the server
+  double loss = 0.0;
+  bool simultaneous = false;  // both close() in the same instant
+  std::array<std::uint8_t, 7> reserved1{};
+  const char* label = "";
 };
+static_assert(sizeof(CloseParam) == 48);
 
 class CloseMatrix : public ::testing::TestWithParam<CloseParam> {};
 
@@ -96,18 +105,38 @@ TEST_P(CloseMatrix, BothSidesReachClosedWithAllData) {
 INSTANTIATE_TEST_SUITE_P(
     Matrix, CloseMatrix,
     ::testing::Values(
-        CloseParam{true, 0, 0, 0.0, false, "client_first_idle"},
-        CloseParam{false, 0, 0, 0.0, false, "server_first_idle"},
-        CloseParam{true, 50000, 0, 0.0, false, "client_first_with_upload"},
-        CloseParam{true, 0, 50000, 0.0, false, "client_first_with_download"},
-        CloseParam{false, 50000, 50000, 0.0, false, "server_first_bidi"},
-        CloseParam{true, 100000, 100000, 0.0, false, "client_first_bidi_large"},
-        CloseParam{true, 0, 0, 0.0, true, "simultaneous_idle"},
-        CloseParam{true, 20000, 20000, 0.0, true, "simultaneous_with_data"},
-        CloseParam{true, 0, 0, 0.05, false, "client_first_lossy"},
-        CloseParam{false, 0, 0, 0.05, false, "server_first_lossy"},
-        CloseParam{true, 30000, 30000, 0.05, false, "bidi_lossy"},
-        CloseParam{true, 10000, 10000, 0.10, true, "simultaneous_very_lossy"}),
+        CloseParam{.client_first = true, .label = "client_first_idle"},
+        CloseParam{.client_first = false, .label = "server_first_idle"},
+        CloseParam{.client_first = true, .client_data = 50000, .label = "client_first_with_upload"},
+        CloseParam{
+            .client_first = true, .server_data = 50000, .label = "client_first_with_download"},
+        CloseParam{.client_first = false,
+                   .client_data = 50000,
+                   .server_data = 50000,
+                   .label = "server_first_bidi"},
+        CloseParam{.client_first = true,
+                   .client_data = 100000,
+                   .server_data = 100000,
+                   .label = "client_first_bidi_large"},
+        CloseParam{.client_first = true, .simultaneous = true, .label = "simultaneous_idle"},
+        CloseParam{.client_first = true,
+                   .client_data = 20000,
+                   .server_data = 20000,
+                   .simultaneous = true,
+                   .label = "simultaneous_with_data"},
+        CloseParam{.client_first = true, .loss = 0.05, .label = "client_first_lossy"},
+        CloseParam{.client_first = false, .loss = 0.05, .label = "server_first_lossy"},
+        CloseParam{.client_first = true,
+                   .client_data = 30000,
+                   .server_data = 30000,
+                   .loss = 0.05,
+                   .label = "bidi_lossy"},
+        CloseParam{.client_first = true,
+                   .client_data = 10000,
+                   .server_data = 10000,
+                   .loss = 0.10,
+                   .simultaneous = true,
+                   .label = "simultaneous_very_lossy"}),
     [](const ::testing::TestParamInfo<CloseParam>& info) { return info.param.label; });
 
 // Abort (RST) interactions with pending data: the peer learns promptly
