@@ -159,6 +159,48 @@ def _check_storm(storm):
             f"storm.alloc.ratio {alloc['ratio']} below the 5x gate")
 
 
+# Whole-simulation heap allocations in bench_packet_path's live replicated
+# echo, per rx path. Allocation counts are deterministic for a given build.
+# Measured (quick and full runs): per-frame rx 23.3-23.8 per diverted
+# segment and 7.0-7.1 per wire frame; batched rx with GRO 18.4 and
+# 5.4-5.6. The ceilings sit ~12% above. Before the NIC, GRO, impairment
+# and ARP-hit paths reused their storage the same runs measured 33-34 /
+# 10.0-10.1 and 43-46 / 13.3-13.6, which fail here.
+PACKET_PATH_ALLOC_CEILINGS = {
+    "per_frame": {"allocs_per_div_seg": 26.0, "allocs_per_frame": 8.0},
+    "batched_gro": {"allocs_per_div_seg": 21.0, "allocs_per_frame": 6.3},
+}
+
+
+def _check_packet_path(pp):
+    _expect(isinstance(pp, dict), "'packet_path' is not an object")
+    live = pp.get("live")
+    _expect(isinstance(live, list) and live,
+            "packet_path.live must be a non-empty list")
+    seen = set()
+    for i, row in enumerate(live):
+        _expect(isinstance(row, dict), f"packet_path.live[{i}] is not an object")
+        path = row.get("rx_path")
+        _expect(path in PACKET_PATH_ALLOC_CEILINGS,
+                f"packet_path.live[{i}].rx_path {path!r} unknown")
+        _expect(path not in seen, f"packet_path.live: rx_path '{path}' repeated")
+        seen.add(path)
+        for key in ("diverted", "frames", "allocs", "allocs_per_div_seg",
+                    "allocs_per_frame"):
+            _expect(key in row, f"packet_path.live[{i}] missing '{key}'")
+            _expect(isinstance(row[key], (int, float)) and row[key] >= 0,
+                    f"packet_path.live[{i}].{key} is not a non-negative number")
+        _expect(row["diverted"] > 0 and row["frames"] > 0,
+                f"packet_path.live[{i}] ({path}) moved no traffic")
+        for key, ceiling in PACKET_PATH_ALLOC_CEILINGS[path].items():
+            _expect(row[key] <= ceiling,
+                    f"packet_path.live[{i}] ({path}).{key} {row[key]} above "
+                    f"the {ceiling} ceiling")
+    _expect(seen == set(PACKET_PATH_ALLOC_CEILINGS),
+            f"packet_path.live covers {sorted(seen)}, expected "
+            f"{sorted(PACKET_PATH_ALLOC_CEILINGS)}")
+
+
 def _check_shard(shard):
     _expect(isinstance(shard, dict), "'shard' is not an object")
     _expect("gro" in shard, "shard missing 'gro'")
@@ -308,6 +350,8 @@ def check_document(doc):
         _check_storm(doc["storm"])
     if "shard" in doc:
         _check_shard(doc["shard"])
+    if "packet_path" in doc:
+        _check_packet_path(doc["packet_path"])
     if "churn" in doc:
         _check_churn(doc["churn"])
     if "attack" in doc:
@@ -378,6 +422,16 @@ def self_test():
             ],
             "alloc": {"cycles": 200000, "legacy_allocs": 400000,
                       "wheel_allocs": 0, "ratio": 400000.0},
+        },
+        "packet_path": {
+            "live": [
+                {"rx_path": "per_frame", "diverted": 57, "frames": 187,
+                 "allocs": 1330, "allocs_per_div_seg": 23.3,
+                 "allocs_per_frame": 7.11},
+                {"rx_path": "batched_gro", "diverted": 57, "frames": 186,
+                 "allocs": 1046, "allocs_per_div_seg": 18.4,
+                 "allocs_per_frame": 5.62},
+            ],
         },
         "shard": {
             "gro": {"mss": 1460, "base_segments_per_s": 100000.0,
@@ -469,6 +523,24 @@ def self_test():
         ("storm alloc missing ratio", lambda d: d["storm"]["alloc"].pop("ratio")),
         ("storm ratio below gate", lambda d: d["storm"]["alloc"].update(
             ratio=2.0)),
+        ("packet_path missing live", lambda d: d["packet_path"].pop("live")),
+        ("packet_path row missing allocs_per_frame",
+         lambda d: d["packet_path"]["live"][0].pop("allocs_per_frame")),
+        ("packet_path unknown rx path", lambda d: d["packet_path"]["live"][0].update(
+            rx_path="lanes")),
+        ("packet_path batched row missing", lambda d: d["packet_path"]["live"].pop()),
+        ("packet_path moved no traffic", lambda d: d["packet_path"]["live"][1].update(
+            frames=0)),
+        # The figures of the live rows before the frame path reused its
+        # storage: each must fail its ceiling.
+        ("packet_path per-frame allocs per segment above ceiling",
+         lambda d: d["packet_path"]["live"][0].update(allocs_per_div_seg=33.2)),
+        ("packet_path per-frame allocs per frame above ceiling",
+         lambda d: d["packet_path"]["live"][0].update(allocs_per_frame=10.13)),
+        ("packet_path batched allocs per segment above ceiling",
+         lambda d: d["packet_path"]["live"][1].update(allocs_per_div_seg=43.4)),
+        ("packet_path batched allocs per frame above ceiling",
+         lambda d: d["packet_path"]["live"][1].update(allocs_per_frame=13.3)),
         ("shard missing gro", lambda d: d["shard"].pop("gro")),
         ("shard speedup below gate", lambda d: d["shard"]["gro"].update(
             speedup=1.1)),

@@ -100,17 +100,27 @@ void IpLayer::send_datagram(IpDatagram dgram) {
 void IpLayer::transmit_on(std::size_t iface_idx, Ipv4 next_hop, IpDatagram dgram) {
   Interface& iface = interfaces_[iface_idx];
   ++tx_count_;
-  // Zero-copy: the IP header goes into the payload buffer's headroom; the
-  // resolve callback moves the buffer into the frame (a share at worst —
-  // never a byte copy).
+  // Zero-copy: the IP header goes into the payload buffer's headroom and
+  // the buffer moves into the frame (a share at worst — never a byte copy).
   wire::PacketBuffer wire = dgram.to_wire();
-  iface.arp->resolve(next_hop, [nic = iface.nic, wire = std::move(wire)](
-                                   net::MacAddress mac) mutable {
+  const auto send_to = [nic = iface.nic](net::MacAddress mac, wire::PacketBuffer buf) {
     net::EthernetFrame frame;
     frame.dst = mac;
     frame.type = net::EtherType::kIpv4;
-    frame.payload = std::move(wire);
+    frame.payload = std::move(buf);
     nic->send(std::move(frame));
+  };
+  // A cache hit sends now, exactly as resolve() would call back, without
+  // parking the buffer in a heap-allocated callback. A miss queues behind
+  // the resolution, so frames to one next hop still leave in order.
+  net::MacAddress mac;
+  if (iface.arp->lookup(next_hop, &mac)) {
+    send_to(mac, std::move(wire));
+    return;
+  }
+  iface.arp->resolve(next_hop, [send_to, wire = std::move(wire)](
+                                   net::MacAddress resolved) mutable {
+    send_to(resolved, std::move(wire));
   });
 }
 

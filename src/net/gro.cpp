@@ -37,18 +37,7 @@ std::uint32_t pseudo_sum(const std::uint8_t* ip, std::size_t tcp_len) {
   return sum;
 }
 
-/// A structurally merge-eligible frame, checksum-verified, with pointers
-/// into the frame's own payload storage (valid until the frame moves).
-struct Candidate {
-  const std::uint8_t* ip = nullptr;   // 20-byte IPv4 header
-  const std::uint8_t* tcp = nullptr;  // TCP header + payload
-  std::size_t payload_len = 0;        // TCP payload bytes
-  std::uint32_t seq = 0;
-  std::uint32_t ack = 0;
-  std::uint16_t payload_sum = 0;  // folded one's-complement sum of payload
-  std::uint16_t window = 0;
-  bool psh = false;
-};
+using Candidate = GroScratch::Candidate;
 
 /// Rotating a one's-complement sum by one byte is ×2^8 mod (2^16 - 1):
 /// the contribution of a byte run that lands at an odd offset.
@@ -120,14 +109,16 @@ bool continues_run(const EthernetFrame& head_frame, const Candidate& head,
 
 }  // namespace
 
-void gro_coalesce(const GroParams& params, std::vector<RxFrame>&& in,
-                  std::vector<RxFrame>& out, GroStats& stats) {
+void gro_coalesce(const GroParams& params, std::vector<RxFrame>& in,
+                  std::vector<RxFrame>& out, GroStats& stats, GroScratch& scratch) {
   stats.frames_in += in.size();
 
   // The active run: indices into `in` plus each member's parsed view
   // (pointers stay valid — frames are not moved until their run flushes).
-  std::vector<std::size_t> run;
-  std::vector<Candidate> cands;
+  std::vector<std::size_t>& run = scratch.run;
+  std::vector<Candidate>& cands = scratch.cands;
+  run.clear();
+  cands.clear();
   std::uint32_t next_seq = 0;
   std::size_t run_payload = 0;
 

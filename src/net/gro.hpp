@@ -47,11 +47,33 @@ struct GroStats {
   std::uint64_t bad_checksum = 0;
 };
 
+/// Working storage that gro_coalesce reuses from batch to batch, so a
+/// steady-state flush allocates no bookkeeping. The caller owns one (a NIC
+/// keeps it as a member); its contents mean nothing between calls.
+struct GroScratch {
+  /// A structurally merge-eligible frame, checksum-verified, with pointers
+  /// into the frame's own payload storage (valid until the frame moves).
+  struct Candidate {
+    const std::uint8_t* ip = nullptr;   // 20-byte IPv4 header
+    const std::uint8_t* tcp = nullptr;  // TCP header + payload
+    std::size_t payload_len = 0;        // TCP payload bytes
+    std::uint32_t seq = 0;
+    std::uint32_t ack = 0;
+    std::uint16_t payload_sum = 0;  // folded one's-complement sum of payload
+    std::uint16_t window = 0;
+    bool psh = false;
+  };
+  /// The active run: indices into the batch plus each member's parsed view.
+  std::vector<std::size_t> run;
+  std::vector<Candidate> cands;
+};
+
 /// Coalesces one rx batch, given in arrival order. A run grows only over
 /// frames that are contiguous in that order: any frame in between closes
 /// it. Appends outputs to `out` preserving arrival order (a merged
-/// segment takes its run head's position).
-void gro_coalesce(const GroParams& params, std::vector<RxFrame>&& in,
-                  std::vector<RxFrame>& out, GroStats& stats);
+/// segment takes its run head's position). The frames of `in` are moved
+/// from; the caller clears it.
+void gro_coalesce(const GroParams& params, std::vector<RxFrame>& in,
+                  std::vector<RxFrame>& out, GroStats& stats, GroScratch& scratch);
 
 }  // namespace tfo::net

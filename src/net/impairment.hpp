@@ -30,10 +30,11 @@
 // invariant  offered + duplicated == delivered + dropped + detached.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
-#include <vector>
 
+#include "common/assert.hpp"
 #include "common/rng.hpp"
 #include "common/time.hpp"
 #include "net/frame.hpp"
@@ -98,11 +99,31 @@ class Impairment {
     bool corrupted = false;
   };
 
+  /// The copies of one delivery: at most two (the original and one
+  /// duplicate), held inline so planning a delivery never allocates.
+  class Copies {
+   public:
+    static constexpr std::size_t kMax = 2;
+    void push_back(const Copy& c) {
+      TFO_ASSERT(n_ < kMax, "a delivery has at most two copies");
+      items_[n_++] = c;
+    }
+    std::size_t size() const { return n_; }
+    bool empty() const { return n_ == 0; }
+    const Copy& operator[](std::size_t i) const { return items_[i]; }
+    const Copy* begin() const { return items_.data(); }
+    const Copy* end() const { return items_.data() + n_; }
+
+   private:
+    std::array<Copy, kMax> items_{};
+    std::size_t n_ = 0;
+  };
+
   /// The pipeline's verdict for one delivery. `copies` empty == dropped.
   /// `tracked` is false when the engine is disabled or the delivery is out
   /// of target scope — the medium must then skip the note_*() calls.
   struct Plan {
-    std::vector<Copy> copies;
+    Copies copies;
     bool tracked = false;
   };
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/assert.hpp"
 #include "common/logging.hpp"
 
 namespace tfo::net {
@@ -124,20 +125,23 @@ void Nic::enqueue_rx(const EthernetFrame& frame, bool to_us) {
 void Nic::flush_rx() {
   rx_flush_event_ = sim::kNoEvent;
   if (rx_ring_.empty()) return;
-  std::vector<RxFrame> batch;
-  batch.swap(rx_ring_);
-  if (!enabled_ || !rx_) return;
-  ++batch_stats_.rx_batches;
-  batch_stats_.frames_batched += batch.size();
-
-  // GRO the batch, then hand the result up the stack in arrival order.
-  std::vector<RxFrame> out;
-  out.reserve(batch.size());
-  gro_coalesce(params_.gro, std::move(batch), out, gro_stats_);
-  for (RxFrame& f : out) {
-    if (!enabled_ || !rx_) break;  // a handler may crash this host mid-batch
-    rx_(f.frame, f.to_us);
+  // The staged batch moves to the spare ring, so arrivals during the
+  // hand-up below start the next batch in a ring that kept its capacity.
+  TFO_ASSERT(rx_spare_.empty() && gro_out_.empty(), "rx flush re-entered");
+  rx_spare_.swap(rx_ring_);
+  if (enabled_ && rx_) {
+    ++batch_stats_.rx_batches;
+    batch_stats_.frames_batched += rx_spare_.size();
+    // GRO the batch, then hand the result up the stack in arrival order.
+    gro_coalesce(params_.gro, rx_spare_, gro_out_, gro_stats_, gro_scratch_);
+    for (RxFrame& f : gro_out_) {
+      if (!enabled_ || !rx_) break;  // a handler may crash this host mid-batch
+      rx_(f.frame, f.to_us);
+    }
   }
+  // Whatever was not handed up dies with the batch: a crashed host drops it.
+  gro_out_.clear();
+  rx_spare_.clear();
 }
 
 }  // namespace tfo::net

@@ -123,8 +123,13 @@ class Nic {
   Rng jitter_rng_;
   SimTime rx_floor_ = 0;  // monotonic delivery-time floor
 
-  // Batched data path (rx_batch_max / tx_batch_max > 1).
-  std::vector<RxFrame> rx_ring_;
+  // Batched data path (rx_batch_max / tx_batch_max > 1). The rx rings and
+  // the GRO storage live as long as the NIC and are cleared, never freed,
+  // between batches: a steady-state flush allocates no bookkeeping.
+  std::vector<RxFrame> rx_ring_;   // arrivals staged for the next flush
+  std::vector<RxFrame> rx_spare_;  // the batch being flushed; empty otherwise
+  std::vector<RxFrame> gro_out_;   // GRO output of the batch being flushed
+  GroScratch gro_scratch_;
   sim::EventId rx_flush_event_ = sim::kNoEvent;
   SimTime rx_flush_floor_ = 0;  // first arrival + rx_processing
   std::vector<EthernetFrame> tx_ring_;

@@ -1,6 +1,9 @@
 // Tests for the application layer over plain (unreplicated) TCP: the
-// deterministic web store and the active-mode FTP implementation.
+// deterministic payload generator, the deterministic web store and the
+// active-mode FTP implementation.
 #include <gtest/gtest.h>
+
+#include <algorithm>
 
 #include "apps/echo.hpp"
 #include "apps/ftp.hpp"
@@ -12,6 +15,58 @@ namespace tfo::apps {
 namespace {
 
 using test::run_until;
+
+// ------------------------------------------------------------ payload
+
+/// The definition of the payload: one serial xorshift32 chain, byte i the
+/// low byte of the state after step i + 1.
+Bytes reference_payload(std::size_t n, std::uint32_t seed) {
+  Bytes b(n);
+  std::uint32_t x = seed * 2654435761u + 88172645u;
+  for (std::size_t i = 0; i < n; ++i) {
+    x ^= x << 13;
+    x ^= x >> 17;
+    x ^= x << 5;
+    b[i] = static_cast<std::uint8_t>(x);
+  }
+  return b;
+}
+
+std::uint64_t fnv1a64(const Bytes& b) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (std::uint8_t c : b) {
+    h ^= c;
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+TEST(DeterministicPayload, MatchesSerialReferenceAcrossLaneBoundaries) {
+  // 31/32/33: one 4-byte group per lane; 255/256/257: the lane cut-over;
+  // 4095..4097 and 65536 + 13: every lane block with a ragged tail.
+  for (std::size_t n : {0ul, 1ul, 31ul, 32ul, 33ul, 255ul, 256ul, 257ul, 4095ul,
+                        4096ul, 4097ul, 65536ul + 13, 262144ul}) {
+    for (std::uint32_t seed : {0u, 1u, 7u, 0xdeadbeefu}) {
+      const Bytes got = deterministic_payload(n, seed);
+      const Bytes want = reference_payload(n, seed);
+      ASSERT_EQ(got.size(), n);
+      const auto diff = std::mismatch(got.begin(), got.end(), want.begin());
+      EXPECT_TRUE(diff.first == got.end())
+          << "n=" << n << " seed=" << seed << " first difference at byte "
+          << (diff.first - got.begin());
+    }
+  }
+}
+
+TEST(DeterministicPayload, GoldenDigests) {
+  // FNV-1a-64 of the content the serial generator produced: transfers
+  // verified against these bytes must never silently change meaning.
+  EXPECT_EQ(fnv1a64(deterministic_payload(1048576, 7)), 0xc7e9e90794f9e191ull);
+  EXPECT_EQ(fnv1a64(deterministic_payload(307205, 42)), 0x0bb878fb3382e12cull);
+  EXPECT_EQ(fnv1a64(deterministic_payload(4097, 0)), 0x2e1c1fd2f229437eull);
+}
+
+// ---------------------------------------------------------------- store
 
 struct AppsFixture : ::testing::Test {
   std::unique_ptr<Lan> lan = make_lan();

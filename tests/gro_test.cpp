@@ -88,8 +88,11 @@ net::RxFrame make_frame(std::uint32_t seq,
 std::vector<net::RxFrame> coalesce(std::vector<net::RxFrame> in,
                                    net::GroStats& stats,
                                    net::GroParams params = {}) {
+  // One scratch for every call, as a NIC reuses its own from batch to
+  // batch: leftovers of an earlier batch must never leak into a later one.
+  static net::GroScratch scratch;
   std::vector<net::RxFrame> out;
-  net::gro_coalesce(params, std::move(in), out, stats);
+  net::gro_coalesce(params, in, out, stats, scratch);
   return out;
 }
 

@@ -156,6 +156,49 @@ TEST(ImpairmentEngine, ConservationHoldsUnderMixedImpairments) {
   EXPECT_EQ(c.offered + c.duplicated, c.delivered + c.dropped + c.detached);
 }
 
+TEST(ImpairmentEngine, EveryImpairmentOnYieldsExactlyTwoCopies) {
+  sim::Simulator sim;
+  auto a = quick_nic(sim, "a", 1);
+  ImpairmentParams p;
+  p.duplicate = 1.0;
+  p.reorder = 1.0;
+  p.corrupt = 1.0;
+  p.seed = 17;
+  Impairment eng(p);
+  constexpr int kDeliveries = 200;
+  for (int i = 0; i < kDeliveries; ++i) {
+    const auto plan = eng.plan(nullptr, *a, probe());
+    ASSERT_TRUE(plan.tracked);
+    ASSERT_EQ(plan.copies.size(), 2u);
+    for (const Impairment::Copy& c : plan.copies) {
+      EXPECT_GT(c.extra_delay, 0);
+      EXPECT_TRUE(c.corrupted);
+      eng.note_delivered();
+    }
+  }
+  auto c = eng.counters();
+  EXPECT_EQ(c.offered, 200u);
+  EXPECT_EQ(c.duplicated, 200u);
+  EXPECT_EQ(c.reordered, 400u);
+  EXPECT_EQ(c.corrupted, 400u);
+  EXPECT_EQ(c.delivered, 400u);
+  EXPECT_EQ(c.dropped, 0u);
+
+  // A dropped delivery yields no copies and moves only `offered`/`dropped`.
+  p.loss = 1.0;
+  eng.configure(p);
+  EXPECT_TRUE(eng.plan(nullptr, *a, probe()).copies.empty());
+  c = eng.counters();
+  EXPECT_EQ(c.offered, 201u);
+  EXPECT_EQ(c.dropped, 1u);
+  EXPECT_EQ(c.duplicated, 200u);
+  EXPECT_EQ(c.reordered, 400u);
+  EXPECT_EQ(c.corrupted, 400u);
+  EXPECT_EQ(c.delivered, 400u);
+  EXPECT_EQ(c.detached, 0u);
+  EXPECT_TRUE(eng.conserved());
+}
+
 TEST(ImpairmentEngine, RegistryMirrorsInternalCounters) {
   sim::Simulator sim;
   auto a = quick_nic(sim, "a", 1);

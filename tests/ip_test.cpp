@@ -2,6 +2,9 @@
 // gratuitous updates used by IP takeover), routing, hooks, and forwarding.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "apps/host.hpp"
 #include "apps/topology.hpp"
 #include "ip/datagram.hpp"
@@ -165,6 +168,46 @@ TEST_F(IpFixture, DeliverByProtocolToLocalAddress) {
   a->ip().send(Proto::kHeartbeat, Ipv4::any(), b->address(), to_bytes("hb"));
   sim.run();
   EXPECT_EQ(to_string(got), "hb");
+}
+
+TEST_F(IpFixture, ArpHitSendsWithinTheCall) {
+  build();
+  a->arp().add_static(b->address(), b->nic().mac());
+  // Reference: what putting one frame on the wire schedules by itself.
+  const std::size_t idle = sim.pending();
+  net::EthernetFrame probe;
+  probe.dst = b->nic().mac();
+  probe.payload = to_bytes("probe");
+  a->nic().send(std::move(probe));
+  const std::size_t per_frame = sim.pending() - idle;
+  sim.run();
+
+  const std::uint64_t tx_before = a->nic().tx_frames();
+  const std::size_t pending_before = sim.pending();
+  a->ip().send(Proto::kHeartbeat, Ipv4::any(), b->address(), to_bytes("hb"));
+  // The frame reached the NIC inside send(), and nothing but its wire
+  // transit was scheduled: no deferred resolution callback.
+  EXPECT_EQ(a->nic().tx_frames(), tx_before + 1);
+  EXPECT_EQ(sim.pending(), pending_before + per_frame);
+}
+
+TEST_F(IpFixture, ArpMissQueuedDatagramsLeaveInOrder) {
+  build();
+  std::vector<std::string> got;
+  b->ip().register_protocol(Proto::kHeartbeat, [&](const IpDatagram& d, const RxMeta&) {
+    got.push_back(to_string(to_bytes(d.payload)));
+  });
+  // Three datagrams queue behind one unanswered request...
+  for (const char* m : {"one", "two", "three"}) {
+    a->ip().send(Proto::kHeartbeat, Ipv4::any(), b->address(), to_bytes(m));
+  }
+  EXPECT_EQ(a->nic().tx_frames(), 1u);  // just the ARP request
+  EXPECT_FALSE(a->arp().lookup(b->address(), nullptr));
+  ASSERT_TRUE(test::run_until(sim, [&] { return a->arp().lookup(b->address(), nullptr); }));
+  // ...and the first after the reply takes the hit path behind them.
+  a->ip().send(Proto::kHeartbeat, Ipv4::any(), b->address(), to_bytes("four"));
+  sim.run();
+  EXPECT_EQ(got, (std::vector<std::string>{"one", "two", "three", "four"}));
 }
 
 TEST_F(IpFixture, DatagramForForeignAddressDropped) {
