@@ -151,12 +151,13 @@ def _check_storm(storm):
                 f"{STORM_SWEEP_PER_CONN_MAX}: sweep work grows with N")
     alloc = storm["alloc"]
     _expect(isinstance(alloc, dict), "storm.alloc is not an object")
-    for key in ("cycles", "legacy_allocs", "wheel_allocs", "ratio"):
+    for key in ("cycles", "wheel_allocs"):
         _expect(key in alloc, f"storm.alloc missing '{key}'")
         _expect(isinstance(alloc[key], (int, float)) and alloc[key] >= 0,
                 f"storm.alloc.{key} is not a non-negative number")
-    _expect(alloc["ratio"] >= 5,
-            f"storm.alloc.ratio {alloc['ratio']} below the 5x gate")
+    _expect(alloc["wheel_allocs"] == 0,
+            f"storm.alloc.wheel_allocs {alloc['wheel_allocs']}: a timer "
+            "arm/cancel cycle must not allocate")
 
 
 # Whole-simulation heap allocations in bench_packet_path's live replicated
@@ -420,8 +421,7 @@ def self_test():
                  "takeover_p50_ns": 2.0e8, "takeover_p99_ns": 3.5e8,
                  "sweep_scanned_per_conn": 1.0},
             ],
-            "alloc": {"cycles": 200000, "legacy_allocs": 400000,
-                      "wheel_allocs": 0, "ratio": 400000.0},
+            "alloc": {"cycles": 200000, "wheel_allocs": 0},
         },
         "packet_path": {
             "live": [
@@ -520,9 +520,10 @@ def self_test():
          lambda d: d["storm"]["points"][1].pop("sweep_scanned_per_conn")),
         ("storm sweep work grows with N", lambda d: d["storm"]["points"][1].update(
             sweep_scanned_per_conn=2500.0)),
-        ("storm alloc missing ratio", lambda d: d["storm"]["alloc"].pop("ratio")),
-        ("storm ratio below gate", lambda d: d["storm"]["alloc"].update(
-            ratio=2.0)),
+        ("storm alloc missing wheel_allocs",
+         lambda d: d["storm"]["alloc"].pop("wheel_allocs")),
+        ("storm timer cycle allocates", lambda d: d["storm"]["alloc"].update(
+            wheel_allocs=1)),
         ("packet_path missing live", lambda d: d["packet_path"].pop("live")),
         ("packet_path row missing allocs_per_frame",
          lambda d: d["packet_path"]["live"][0].pop("allocs_per_frame")),

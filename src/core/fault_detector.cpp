@@ -46,20 +46,15 @@ bool hb_verify(std::uint64_t seed, const ip::IpDatagram& d, std::uint64_t& expec
 
 }  // namespace
 
-FaultDetector::FaultDetector(apps::Host& host, ip::Ipv4 peer, SimDuration period,
-                             SimDuration timeout, ip::Ipv4 src,
+HeartbeatMesh::HeartbeatMesh(apps::Host& host, SimDuration period, SimDuration timeout,
                              std::uint64_t auth_seed)
     : host_(host),
-      peer_(peer),
       period_(period),
       timeout_(timeout),
-      src_(src),
-      send_timer_(host.simulator()),
-      deadline_(host.simulator()),
-      auth_seed_(auth_seed) {
-  // Registry counters are cumulative across detector instances on the
-  // host; the accessors stay per-instance (a replaced detector restarts
-  // its own counts), so both are kept.
+      auth_seed_(auth_seed),
+      send_timer_(host.simulator()) {
+  // Registry counters are cumulative per host (a replaced mesh keeps
+  // adding to them).
   auto& reg = host_.obs().registry;
   ctr_sent_ = &reg.counter("fd.heartbeats_sent");
   ctr_received_ = &reg.counter("fd.heartbeats_received");
@@ -68,85 +63,16 @@ FaultDetector::FaultDetector(apps::Host& host, ip::Ipv4 peer, SimDuration period
       ip::Proto::kHeartbeat,
       [this, w = std::weak_ptr<bool>(alive_)](const ip::IpDatagram& d,
                                               const ip::RxMeta&) {
-        if (w.expired()) return;  // stale registration of a replaced detector
-        if (!running_ || d.src != peer_) return;
-        if (!hb_verify(auth_seed_, d, expect_k_)) {
-          // Forged, replayed, or reflected: it must not refresh liveness
-          // (a forger could otherwise mask a dead peer forever).
-          ++auth_failed_;
-          ctr_auth_failed_->inc();
-          return;
-        }
-        ++received_;
-        ctr_received_->inc();
-        arm_deadline();
-      });
-}
-
-FaultDetector::~FaultDetector() { alive_.reset(); }
-
-void FaultDetector::start() {
-  running_ = true;
-  declared_ = false;
-  send_heartbeat();
-  arm_deadline();
-}
-
-void FaultDetector::stop() {
-  running_ = false;
-  send_timer_.stop();
-  deadline_.stop();
-}
-
-void FaultDetector::send_heartbeat() {
-  if (!running_) return;
-  ++sent_;
-  ctr_sent_->inc();
-  // k is the simulation clock: monotonic even across detector replacement
-  // (reintegration), so the peer's anti-replay mark never needs resetting.
-  const ip::Ipv4 effective_src = src_.is_any() ? host_.address() : src_;
-  host_.ip().send(ip::Proto::kHeartbeat, src_, peer_,
-                  hb_payload(auth_seed_, effective_src,
-                             static_cast<std::uint64_t>(host_.simulator().now())));
-  send_timer_.start(period_, [this] { send_heartbeat(); });
-}
-
-void FaultDetector::arm_deadline() {
-  deadline_.start(timeout_, [this] {
-    if (declared_) return;
-    declared_ = true;
-    running_ = false;
-    send_timer_.stop();
-    TFO_LOG(kInfo, "fd") << host_.name() << " declares peer " << peer_.str()
-                         << " FAILED";
-    host_.obs().timeline.record(host_.simulator().now(),
-                                obs::EventKind::kPeerDeclaredFailed, {},
-                                "peer=" + peer_.str());
-    if (on_peer_failed) on_peer_failed();
-  });
-}
-
-// ------------------------------------------------------- HeartbeatMesh
-
-HeartbeatMesh::HeartbeatMesh(apps::Host& host, SimDuration period, SimDuration timeout,
-                             std::uint64_t auth_seed)
-    : host_(host),
-      period_(period),
-      timeout_(timeout),
-      auth_seed_(auth_seed),
-      send_timer_(host.simulator()) {
-  ctr_auth_failed_ = &host_.obs().registry.counter("fault.hb_auth_failed");
-  host_.ip().register_protocol(
-      ip::Proto::kHeartbeat,
-      [this, w = std::weak_ptr<bool>(alive_)](const ip::IpDatagram& d,
-                                              const ip::RxMeta&) {
         if (w.expired() || !running_) return;
         for (auto& peer : peers_) {
           if (peer->addr == d.src && !peer->declared) {
             if (!hb_verify(auth_seed_, d, peer->expect_k)) {
+              // Forged, replayed, or reflected: it must not refresh
+              // liveness (a forger could otherwise mask a dead peer).
               ctr_auth_failed_->inc();
               return;
             }
+            ctr_received_->inc();
             arm(*peer);
             return;
           }
@@ -157,15 +83,16 @@ HeartbeatMesh::HeartbeatMesh(apps::Host& host, SimDuration period, SimDuration t
 HeartbeatMesh::~HeartbeatMesh() { alive_.reset(); }
 
 void HeartbeatMesh::watch(ip::Ipv4 peer, std::function<void()> on_failed) {
-  auto p = std::make_unique<Peer>();
-  p->addr = peer;
-  p->on_failed = std::move(on_failed);
-  p->deadline = std::make_unique<sim::Timer>(host_.simulator());
-  peers_.push_back(std::move(p));
-  // A peer registered after the mesh started (reintegration) would never
-  // get a deadline until its first heartbeat arrived — a permanently
-  // silent peer would go undetected. Arm it now.
-  if (running_) arm(*peers_.back());
+  peers_.push_back(
+      std::make_unique<Peer>(host_.simulator(), peer, std::move(on_failed)));
+  if (!running_) return;
+  // A mesh whose every earlier peer was declared has stopped sending;
+  // the newcomer needs heartbeats now, not after a period.
+  if (!send_timer_.armed()) send_heartbeats();
+  // A peer registered after the mesh started would never get a deadline
+  // until its first heartbeat arrived — a permanently silent peer would
+  // go undetected. Arm it now.
+  arm(*peers_.back());
 }
 
 void HeartbeatMesh::start() {
@@ -177,7 +104,7 @@ void HeartbeatMesh::start() {
 void HeartbeatMesh::stop() {
   running_ = false;
   send_timer_.stop();
-  for (auto& peer : peers_) peer->deadline->stop();
+  for (auto& peer : peers_) peer->deadline.stop();
 }
 
 bool HeartbeatMesh::peer_failed(ip::Ipv4 peer) const {
@@ -187,27 +114,39 @@ bool HeartbeatMesh::peer_failed(ip::Ipv4 peer) const {
   return false;
 }
 
+bool HeartbeatMesh::any_undeclared() const {
+  for (const auto& p : peers_) {
+    if (!p->declared) return true;
+  }
+  return false;
+}
+
 void HeartbeatMesh::send_heartbeats() {
   if (!running_) return;
+  // k is the simulation clock: monotonic across reconfiguration, so a
+  // peer's anti-replay mark never needs resetting.
   const std::uint64_t k = static_cast<std::uint64_t>(host_.simulator().now());
   for (const auto& peer : peers_) {
     if (!peer->declared) {
+      ctr_sent_->inc();
       host_.ip().send(ip::Proto::kHeartbeat, ip::Ipv4::any(), peer->addr,
                       hb_payload(auth_seed_, host_.address(), k));
     }
   }
-  send_timer_.start(period_, [this] { send_heartbeats(); });
+  // With nobody left to hear it, the timer would fire empty forever.
+  if (any_undeclared()) send_timer_.start(period_, [this] { send_heartbeats(); });
 }
 
 void HeartbeatMesh::arm(Peer& peer) {
   // `peer` lives in stable unique_ptr storage (see peers_), so capturing
   // the raw pointer across later watch() calls is safe.
   Peer* p = &peer;
-  peer.deadline->start(timeout_, [this, p] {
+  peer.deadline.start(timeout_, [this, p] {
     if (p->declared) return;
     p->declared = true;
-    TFO_LOG(kInfo, "fd") << host_.name() << " declares chain peer "
-                         << p->addr.str() << " FAILED";
+    if (!any_undeclared()) send_timer_.stop();
+    TFO_LOG(kInfo, "fd") << host_.name() << " declares peer " << p->addr.str()
+                         << " FAILED";
     host_.obs().timeline.record(host_.simulator().now(),
                                 obs::EventKind::kPeerDeclaredFailed, {},
                                 "peer=" + p->addr.str());

@@ -20,9 +20,11 @@
 // tail — and the survivors re-aim their divert/merge targets without any
 // sequence rewriting. Head failure additionally runs the §5 IP takeover.
 //
-// Fail-stop model, like the paper: members never return. Determinism
-// requirements are unchanged (all replicas must produce identical
-// streams per connection).
+// Fail-stop model, like the paper: a member never returns, but a fresh
+// recruit may be appended as the new tail (append(), DESIGN.md §5.6).
+// Determinism requirements are unchanged (all replicas must produce
+// identical streams per connection). The paper's primary/secondary pair
+// is the two-member chain (core/replica_group.hpp).
 #pragma once
 
 #include <memory>
@@ -61,6 +63,18 @@ class ReplicaChain {
   /// Convenience fault injection: crashes member `index`.
   void crash(std::size_t index);
 
+  /// Reintegration (the paper leaves it out of scope): `recruit` — a
+  /// fresh host already running the replicated application, on the same
+  /// segment with its listeners installed — becomes the new tail behind
+  /// the last live member. Connections opened from now on replicate to
+  /// it; connections that predate the call keep running on the replicas
+  /// they had (their application state cannot be reconstructed without
+  /// state transfer). The last live member must still hold its merge
+  /// bridge (its downstream died) or have taken over the service address
+  /// (it is the head and was the tail). Dead members lose their bridges
+  /// and detectors. Returns the index of the member appended behind.
+  std::size_t append(apps::Host& recruit);
+
  private:
   struct Member {
     apps::Host* host = nullptr;
@@ -70,6 +84,7 @@ class ReplicaChain {
     bool alive = true;
   };
 
+  void watch(std::size_t observer, std::size_t watched);
   void on_member_failed(std::size_t observer, std::size_t dead);
   void reconfigure(std::size_t member_index);
   std::size_t prev_alive(std::size_t index) const;  // size() if none

@@ -63,9 +63,9 @@ TEST(Determinism, DifferentLossSeedsDiverge) {
 // ------------------------------------------------------- batched path
 //
 // The batched + GRO data path is as deterministic as the per-frame one:
-// both scheduler kinds drain it in the same order, and a repeated run
-// reproduces every counter, gauge and histogram bit-for-bit — the NIC's
-// net.frames_batched / net.gro_coalesced included.
+// a repeated run reproduces the client's wire trace and every counter,
+// gauge and histogram bit-for-bit — the NIC's net.frames_batched /
+// net.gro_coalesced included.
 
 /// Counters/gauges/histograms of a host, canonicalized.
 std::string canonical_metrics(const apps::Host& h) {
@@ -87,12 +87,11 @@ struct BatchedRunResult {
 };
 
 /// Full failover scenario (transfer, mid-way crash, completion) on the
-/// batched+GRO data path with the given scheduler.
-BatchedRunResult run_batched_scenario(sim::SchedulerKind kind) {
+/// batched+GRO data path.
+BatchedRunResult run_batched_scenario() {
   apps::LanParams lp;
   lp.seed = 11;
   lp.tcp.max_rto = seconds(5);
-  lp.scheduler = kind;
   lp.nic.rx_batch_max = 8;
   lp.nic.rx_batch_window = microseconds(150);
   auto r = test::make_replicated_lan(lp);
@@ -109,18 +108,13 @@ BatchedRunResult run_batched_scenario(sim::SchedulerKind kind) {
               r->secondary().nic().gro_stats().coalesced};
 }
 
-TEST(Determinism, SchedulerKindsAgreeOnTheBatchedPath) {
-  // The wheel and the legacy heap drain in the same order, so the batched
-  // data path's wire trace is identical across kinds. (Snapshots are
-  // compared within kind only: sim.wheel.* telemetry legitimately differs.)
-  const BatchedRunResult wheel = run_batched_scenario(sim::SchedulerKind::kTimingWheel);
-  const BatchedRunResult heap = run_batched_scenario(sim::SchedulerKind::kLegacyHeap);
-  ASSERT_FALSE(wheel.trace.empty());
-  EXPECT_GT(wheel.gro_coalesced, 0u);  // the run exercised GRO
-  EXPECT_EQ(wheel.trace, heap.trace);
-  const BatchedRunResult again = run_batched_scenario(sim::SchedulerKind::kTimingWheel);
-  EXPECT_EQ(again.trace, wheel.trace);
-  EXPECT_EQ(again.metrics, wheel.metrics);
+TEST(Determinism, BatchedPathRepeatsBitForBit) {
+  const BatchedRunResult first = run_batched_scenario();
+  ASSERT_FALSE(first.trace.empty());
+  EXPECT_GT(first.gro_coalesced, 0u);  // the run exercised GRO
+  const BatchedRunResult again = run_batched_scenario();
+  EXPECT_EQ(again.trace, first.trace);
+  EXPECT_EQ(again.metrics, first.metrics);
 }
 
 TEST(Determinism, SimulatorTimeIsIndependentOfWallClock) {

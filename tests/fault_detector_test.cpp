@@ -1,4 +1,5 @@
-// Unit tests for the heartbeat fault detector.
+// Unit tests for the heartbeat fault detector (HeartbeatMesh). The FdFixture
+// pair is the replica pair's wiring: one mesh per host, one peer each.
 #include <gtest/gtest.h>
 
 #include "apps/topology.hpp"
@@ -10,33 +11,42 @@ namespace {
 
 struct FdFixture : ::testing::Test {
   std::unique_ptr<apps::Lan> lan = apps::make_lan();
-  std::unique_ptr<FaultDetector> on_p, on_s;
+  std::unique_ptr<HeartbeatMesh> on_p, on_s;
+  /// Called when the mesh on P (resp. S) declares its peer failed.
+  std::function<void()> p_failed, s_failed;
 
   void build(SimDuration period = milliseconds(10), SimDuration timeout = milliseconds(50)) {
-    on_p = std::make_unique<FaultDetector>(*lan->primary, lan->secondary->address(),
-                                           period, timeout);
-    on_s = std::make_unique<FaultDetector>(*lan->secondary, lan->primary->address(),
-                                           period, timeout);
+    on_p = std::make_unique<HeartbeatMesh>(*lan->primary, period, timeout);
+    on_p->watch(lan->secondary->address(), [this] { if (p_failed) p_failed(); });
+    on_s = std::make_unique<HeartbeatMesh>(*lan->secondary, period, timeout);
+    on_s->watch(lan->primary->address(), [this] { if (s_failed) s_failed(); });
+  }
+
+  static std::uint64_t heartbeats_received(const apps::Host& h) {
+    return h.obs().registry.counter_value("fd.heartbeats_received");
+  }
+  static std::uint64_t heartbeats_sent(const apps::Host& h) {
+    return h.obs().registry.counter_value("fd.heartbeats_sent");
   }
 };
 
 TEST_F(FdFixture, NoFalsePositiveWhileBothAlive) {
   build();
   int p_fired = 0, s_fired = 0;
-  on_p->on_peer_failed = [&] { ++p_fired; };
-  on_s->on_peer_failed = [&] { ++s_fired; };
+  p_failed = [&] { ++p_fired; };
+  s_failed = [&] { ++s_fired; };
   on_p->start();
   on_s->start();
   lan->sim.run_for(seconds(5));
   EXPECT_EQ(p_fired, 0);
   EXPECT_EQ(s_fired, 0);
-  EXPECT_GT(on_p->heartbeats_received(), 400u);
+  EXPECT_GT(heartbeats_received(*lan->primary), 400u);
 }
 
 TEST_F(FdFixture, DetectsCrashWithinTimeout) {
   build(milliseconds(10), milliseconds(50));
   SimTime detected_at = 0;
-  on_s->on_peer_failed = [&] { detected_at = lan->sim.now(); };
+  s_failed = [&] { detected_at = lan->sim.now(); };
   on_p->start();
   on_s->start();
   lan->sim.run_for(seconds(1));
@@ -52,7 +62,7 @@ TEST_F(FdFixture, DetectsCrashWithinTimeout) {
 TEST_F(FdFixture, FiresExactlyOnce) {
   build();
   int fired = 0;
-  on_s->on_peer_failed = [&] { ++fired; };
+  s_failed = [&] { ++fired; };
   on_p->start();
   on_s->start();
   lan->primary->fail();
@@ -63,7 +73,7 @@ TEST_F(FdFixture, FiresExactlyOnce) {
 TEST_F(FdFixture, StopPreventsDetection) {
   build();
   int fired = 0;
-  on_s->on_peer_failed = [&] { ++fired; };
+  s_failed = [&] { ++fired; };
   on_p->start();
   on_s->start();
   lan->sim.run_for(milliseconds(100));
@@ -77,7 +87,7 @@ TEST_F(FdFixture, IgnoresHeartbeatsFromWrongPeer) {
   // Detector on S watches P; heartbeats from the client must not feed it.
   build(milliseconds(10), milliseconds(50));
   int fired = 0;
-  on_s->on_peer_failed = [&] { fired++; };
+  s_failed = [&] { fired++; };
   on_s->start();
   // Only the *client* sends heartbeat-protocol datagrams to S.
   for (int i = 0; i < 100; ++i) {
@@ -88,7 +98,7 @@ TEST_F(FdFixture, IgnoresHeartbeatsFromWrongPeer) {
   }
   lan->sim.run_for(seconds(1));
   EXPECT_EQ(fired, 1);  // P never spoke: declared failed despite client noise
-  EXPECT_EQ(on_s->heartbeats_received(), 0u);
+  EXPECT_EQ(heartbeats_received(*lan->secondary), 0u);
 }
 
 TEST_F(FdFixture, SurvivesModerateHeartbeatLoss) {
@@ -98,8 +108,8 @@ TEST_F(FdFixture, SurvivesModerateHeartbeatLoss) {
   // Timeout of 10 periods tolerates long loss runs.
   build(milliseconds(10), milliseconds(100));
   int fired = 0;
-  on_p->on_peer_failed = [&] { ++fired; };
-  on_s->on_peer_failed = [&] { ++fired; };
+  p_failed = [&] { ++fired; };
+  s_failed = [&] { ++fired; };
   on_p->start();
   on_s->start();
   lan->sim.run_for(seconds(10));
@@ -142,6 +152,50 @@ TEST_F(FdFixture, MeshLateWatchedPeerIsArmedImmediately) {
   lan->sim.run_for(seconds(1));
   ASSERT_GT(declared_at, 0u);
   EXPECT_LE(declared_at - watched_at, static_cast<SimTime>(milliseconds(60)));
+}
+
+TEST_F(FdFixture, MeshStopsSendingOnceEveryPeerIsDeclared) {
+  // Regression: a mesh whose last peer was declared kept re-arming its
+  // send timer, firing one empty event per period for the rest of the
+  // run. Nothing else is scheduled here, so the event count freezes.
+  build();
+  std::uint64_t fired_at_declaration = 0;
+  s_failed = [&] { fired_at_declaration = lan->sim.stats().fired; };
+  on_s->start();  // P never speaks
+  lan->sim.run_for(milliseconds(100));
+  ASSERT_GT(fired_at_declaration, 0u);
+  const std::uint64_t sent = heartbeats_sent(*lan->secondary);
+  lan->sim.run_for(seconds(1));
+  EXPECT_EQ(lan->sim.stats().fired, fired_at_declaration);
+  EXPECT_EQ(heartbeats_sent(*lan->secondary), sent);
+}
+
+TEST_F(FdFixture, MeshWithoutPeersSchedulesNothing) {
+  HeartbeatMesh mesh(*lan->primary, milliseconds(10), milliseconds(50));
+  const std::size_t before = lan->sim.pending();
+  mesh.start();
+  EXPECT_EQ(lan->sim.pending(), before);
+}
+
+TEST_F(FdFixture, MeshLateWatchResumesHeartbeats) {
+  // A mesh that stopped sending (its only peer declared) resumes at once
+  // when a new peer is watched, and keeps that peer alive.
+  build();
+  on_s->start();  // P never speaks
+  lan->sim.run_for(milliseconds(100));
+  ASSERT_TRUE(on_s->peer_failed(lan->primary->address()));
+
+  int client_declared = 0, s_declared = 0;
+  HeartbeatMesh on_c(*lan->client, milliseconds(10), milliseconds(50));
+  on_c.watch(lan->secondary->address(), [&] { ++s_declared; });
+  const std::uint64_t sent = heartbeats_sent(*lan->secondary);
+  on_s->watch(lan->client->address(), [&] { ++client_declared; });
+  EXPECT_EQ(heartbeats_sent(*lan->secondary), sent + 1);  // now, not a period later
+  on_c.start();
+  lan->sim.run_for(seconds(1));
+  EXPECT_GE(heartbeats_sent(*lan->secondary), sent + 100);
+  EXPECT_EQ(s_declared, 0);
+  EXPECT_EQ(client_declared, 0);
 }
 
 }  // namespace

@@ -80,6 +80,10 @@ TEST_F(ReintegrationFixture, AfterPrimaryFailureSurvivorPairsWithRecruit) {
   r->group->crash_primary();
   ASSERT_TRUE(run_until(r->sim(), [&] { return old_conn.done(); }, seconds(120)));
   EXPECT_TRUE(old_conn.verify());
+  // A connection the survivor serves alone is mid-transfer at the repair.
+  test::EchoDriver pre_repair(r->client(), r->primary().address(), kEchoPort, 20000,
+                              2000);
+  ASSERT_TRUE(run_until(r->sim(), [&] { return pre_repair.received().size() >= 6000; }));
 
   r->group->reintegrate_secondary(*recruit);
   EXPECT_EQ(&r->group->current_server(), r->lan->secondary.get());
@@ -92,6 +96,10 @@ TEST_F(ReintegrationFixture, AfterPrimaryFailureSurvivorPairsWithRecruit) {
   ASSERT_TRUE(run_until(r->sim(), [&] { return new_conn.done(); }, seconds(120)));
   EXPECT_TRUE(new_conn.verify());
   EXPECT_EQ(echo_recruit->bytes_echoed(), 30000u);
+  // The pre-repair connection finishes too, unbridged and byte-exact.
+  ASSERT_TRUE(run_until(r->sim(), [&] { return pre_repair.done(); }, seconds(120)));
+  EXPECT_TRUE(pre_repair.verify());
+  EXPECT_FALSE(pre_repair.close_reason().has_value());
 }
 
 TEST_F(ReintegrationFixture, FullRepairCycleSurvivesTwoFailures) {

@@ -1,6 +1,7 @@
 // Tests for N-way daisy-chained replication (the paper's §1 extension):
-// fault-free operation and every crash pattern of 3- and 4-member chains,
-// always asserting the client's byte stream is exactly preserved.
+// fault-free operation, every crash pattern of 3- and 4-member chains and
+// appending a recruit, always asserting the client's byte stream is
+// exactly preserved.
 #include <gtest/gtest.h>
 
 #include "apps/echo.hpp"
@@ -51,6 +52,25 @@ struct ChainFixture : ::testing::Test {
       echoes.push_back(std::make_unique<apps::EchoServer>(s->tcp(), kEchoPort));
     }
     chain->start();
+  }
+
+  /// Adds a fresh host running the echo server, ARP-warm with everyone,
+  /// ready to be appended to the chain.
+  apps::Host& add_recruit(const char* addr) {
+    apps::HostParams hp;
+    hp.name = "recruit";
+    hp.addr = ip::Ipv4::parse(addr);
+    hp.seed = 140;
+    auto host = std::make_unique<apps::Host>(lan->sim, hp, *lan->wire);
+    std::vector<apps::Host*> all = servers;
+    all.push_back(lan->client.get());
+    for (auto* h : all) {
+      h->arp().add_static(host->address(), host->nic().mac());
+      host->arp().add_static(h->address(), h->nic().mac());
+    }
+    echoes.push_back(std::make_unique<apps::EchoServer>(host->tcp(), kEchoPort));
+    extra_hosts.push_back(std::move(host));
+    return *extra_hosts.back();
   }
 
   /// Runs a full transfer, crashing members at the given received-byte
@@ -190,6 +210,35 @@ TEST_F(ChainFixture, ChainWithLossStillExact) {
   lp.tcp.max_rto = seconds(5);
   build(3, lp);
   run_with_crashes({{0, 40 * 1024}}, 80 * 1024);
+}
+
+TEST_F(ChainFixture, RecruitAppendedBehindMiddleReplicatesAndSurvivesHeadCrash) {
+  build(3);
+  apps::Host& recruit = add_recruit("10.0.0.40");
+  chain->crash(2);
+  ASSERT_TRUE(run_until(lan->sim, [&] {
+    return chain->merge_bridge(1)->secondary_failed();
+  }, seconds(10)));
+  // The middle member kept its merge bridge, so it merges the recruit.
+  EXPECT_EQ(chain->append(recruit), 1u);
+  EXPECT_EQ(chain->divert_bridge(3)->divert_to(), servers[1]->address());
+  lan->sim.run_for(milliseconds(100));
+
+  const std::size_t total = 60 * 1024;
+  test::EchoDriver d(*lan->client, servers[0]->address(), kEchoPort, total, 4096);
+  ASSERT_TRUE(run_until(lan->sim, [&] { return d.received().size() > 20 * 1024; },
+                        seconds(120)));
+  chain->crash(0);
+  ASSERT_TRUE(run_until(lan->sim, [&] { return d.done(); }, seconds(300)));
+  EXPECT_TRUE(d.verify());
+  EXPECT_FALSE(d.close_reason().has_value());
+  // The recruit replicated the whole connection, byte for byte with the
+  // promoted head.
+  EXPECT_EQ(echoes[3]->bytes_echoed(), total);
+  EXPECT_EQ(echoes[3]->bytes_echoed(), echoes[1]->bytes_echoed());
+  EXPECT_EQ(chain->head(), servers[1]);
+  EXPECT_EQ(chain->alive_count(), 2u);
+  EXPECT_EQ(chain->divert_bridge(3)->divert_to(), servers[0]->address());
 }
 
 }  // namespace

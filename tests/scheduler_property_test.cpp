@@ -1,16 +1,18 @@
 // Equivalence property test: the timing-wheel scheduler must be
-// observationally identical to the legacy priority-queue scheduler.
+// observationally identical to a reference model of its contract.
 //
 // Strategy: generate a random operation script (schedule with delays that
 // straddle every wheel level, cancel, restart-from-callback, run-for) and
-// replay it against two Simulators — one per SchedulerKind. The contract
-// under test is the one DESIGN.md states: events run in (time,
-// schedule-order) order, negative delays clamp to now, cancels are exact,
-// and same-instant events preserve scheduling order. Any divergence shows
-// up as a mismatch in the (now, label) firing traces.
+// replay it against the Simulator and the model. The contract under test
+// is the one DESIGN.md states: events run in (time, schedule-order)
+// order, negative delays clamp to now, cancels are exact, and
+// same-instant events preserve scheduling order. Any divergence shows up
+// as a mismatch in the (now, label) firing traces.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <functional>
+#include <map>
 #include <random>
 #include <utility>
 #include <vector>
@@ -31,15 +33,66 @@ struct Op {
   std::uint32_t label = 0;
 };
 
-/// Replays a script against one simulator, recording every firing as
+/// The contract as an ordered map keyed by (time, schedule order): the
+/// first entry runs next, and a cancel erases exactly its own entry.
+class ModelScheduler {
+ public:
+  struct Stats {
+    std::uint64_t fired = 0;
+  };
+
+  SimTime now() const { return now_; }
+  std::size_t pending() const { return queue_.size(); }
+  const Stats& stats() const { return stats_; }
+
+  EventId schedule_after(SimDuration d, std::function<void()> fn) {
+    const EventId order = next_order_++;
+    queue_.emplace(Key{d <= 0 ? now_ : now_ + static_cast<SimTime>(d), order},
+                   std::move(fn));
+    return order;
+  }
+
+  void cancel(EventId id) {
+    std::erase_if(queue_, [id](const auto& e) { return e.first.second == id; });
+  }
+
+  bool step() {
+    if (queue_.empty()) return false;
+    auto it = queue_.begin();
+    now_ = it->first.first;
+    std::function<void()> fn = std::move(it->second);
+    queue_.erase(it);
+    ++stats_.fired;
+    fn();
+    return true;
+  }
+
+  void run() {
+    while (step()) {}
+  }
+
+  void run_for(SimDuration d) {
+    const SimTime t = d <= 0 ? now_ : now_ + static_cast<SimTime>(d);
+    while (!queue_.empty() && queue_.begin()->first.first <= t) step();
+    now_ = t;
+  }
+
+ private:
+  using Key = std::pair<SimTime, EventId>;
+  std::map<Key, std::function<void()>> queue_;
+  SimTime now_ = 0;
+  EventId next_order_ = 1;
+  Stats stats_;
+};
+
+/// Replays a script against one scheduler, recording every firing as
 /// (now(), label). Chained events append ids in firing order, so a
 /// kCancel pick resolves to the same logical event on both sides as long
 /// as the traces agree — and if they don't, the trace mismatch is the
 /// failure we're looking for.
+template <typename Scheduler>
 struct Harness {
-  explicit Harness(SchedulerKind kind) : sim(kind) {}
-
-  Simulator sim;
+  Scheduler sim;
   std::vector<std::pair<SimTime, std::uint32_t>> trace;
   std::vector<EventId> ids;
 
@@ -124,23 +177,23 @@ class SchedulerEquivalence : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(SchedulerEquivalence, IdenticalTraces) {
   const auto script = make_script(GetParam(), 600);
-  Harness wheel(SchedulerKind::kTimingWheel);
-  Harness legacy(SchedulerKind::kLegacyHeap);
+  Harness<Simulator> wheel;
+  Harness<ModelScheduler> model;
   for (const Op& op : script) {
     wheel.apply(op);
-    legacy.apply(op);
-    ASSERT_EQ(wheel.sim.now(), legacy.sim.now());
-    ASSERT_EQ(wheel.sim.pending(), legacy.sim.pending());
+    model.apply(op);
+    ASSERT_EQ(wheel.sim.now(), model.sim.now());
+    ASSERT_EQ(wheel.sim.pending(), model.sim.pending());
   }
   // Drain both to completion (chains are finite: one child per parent).
   wheel.sim.run();
-  legacy.sim.run();
+  model.sim.run();
 
-  EXPECT_EQ(wheel.trace, legacy.trace);
-  EXPECT_EQ(wheel.sim.now(), legacy.sim.now());
+  EXPECT_EQ(wheel.trace, model.trace);
+  EXPECT_EQ(wheel.sim.now(), model.sim.now());
   EXPECT_EQ(wheel.sim.pending(), 0u);
-  EXPECT_EQ(legacy.sim.pending(), 0u);
-  EXPECT_EQ(wheel.sim.stats().fired, legacy.sim.stats().fired);
+  EXPECT_EQ(model.sim.pending(), 0u);
+  EXPECT_EQ(wheel.sim.stats().fired, model.sim.stats().fired);
   // The script must actually have exercised the wheel, not just the heap.
   EXPECT_GT(wheel.sim.stats().wheel_inserts, 0u);
 }
@@ -150,72 +203,64 @@ INSTANTIATE_TEST_SUITE_P(Seeds, SchedulerEquivalence,
                                            55u, 89u));
 
 TEST(SchedulerEquivalence, NegativeDelayClampsToNow) {
-  for (auto kind : {SchedulerKind::kTimingWheel, SchedulerKind::kLegacyHeap}) {
-    Simulator sim(kind);
-    sim.run_until(1'000'000);
-    std::vector<int> order;
-    sim.schedule_after(-500, [&] { order.push_back(1); });
-    sim.schedule_at(5, [&] { order.push_back(2); });  // past absolute time
-    sim.schedule_after(0, [&] { order.push_back(3); });
-    sim.run();
-    EXPECT_EQ(sim.now(), 1'000'000);
-    EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
-  }
+  Simulator sim;
+  sim.run_until(1'000'000);
+  std::vector<int> order;
+  sim.schedule_after(-500, [&] { order.push_back(1); });
+  sim.schedule_at(5, [&] { order.push_back(2); });  // past absolute time
+  sim.schedule_after(0, [&] { order.push_back(3); });
+  sim.run();
+  EXPECT_EQ(sim.now(), 1'000'000);
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
 
 TEST(SchedulerEquivalence, SameTickPreservesScheduleOrder) {
   // Many events inside one wheel tick (2^16 ns) and at identical instants:
-  // execution must follow schedule order exactly on both schedulers.
-  for (auto kind : {SchedulerKind::kTimingWheel, SchedulerKind::kLegacyHeap}) {
-    Simulator sim(kind);
-    std::vector<int> order;
-    for (int i = 0; i < 100; ++i) {
-      sim.schedule_at((i % 7) * 100, [&order, i] { order.push_back(i); });
-    }
-    sim.run();
-    // Stable sort of (time, schedule index) is the expected order.
-    std::vector<int> expect;
-    for (int t = 0; t < 7; ++t) {
-      for (int i = 0; i < 100; ++i) {
-        if (i % 7 == t) expect.push_back(i);
-      }
-    }
-    EXPECT_EQ(order, expect) << "kind=" << static_cast<int>(kind);
+  // execution must follow schedule order exactly.
+  Simulator sim;
+  std::vector<int> order;
+  for (int i = 0; i < 100; ++i) {
+    sim.schedule_at((i % 7) * 100, [&order, i] { order.push_back(i); });
   }
+  sim.run();
+  // Stable sort of (time, schedule index) is the expected order.
+  std::vector<int> expect;
+  for (int t = 0; t < 7; ++t) {
+    for (int i = 0; i < 100; ++i) {
+      if (i % 7 == t) expect.push_back(i);
+    }
+  }
+  EXPECT_EQ(order, expect);
 }
 
 TEST(SchedulerEquivalence, TimerRestartFromCallback) {
   // sim::Timer rides the wheel: restarting a timer from inside its own
-  // callback (the retransmit pattern) must work on both schedulers.
-  for (auto kind : {SchedulerKind::kTimingWheel, SchedulerKind::kLegacyHeap}) {
-    Simulator sim(kind);
-    Timer timer(sim);
-    int fires = 0;
-    std::function<void()> tick = [&] {
-      if (++fires < 5) timer.start(1000, tick);
-    };
-    timer.start(1000, tick);
-    sim.run();
-    EXPECT_EQ(fires, 5);
-    EXPECT_EQ(sim.now(), 5000);
-    EXPECT_FALSE(timer.armed());
-  }
+  // callback (the retransmit pattern) must work.
+  Simulator sim;
+  Timer timer(sim);
+  int fires = 0;
+  std::function<void()> tick = [&] {
+    if (++fires < 5) timer.start(1000, tick);
+  };
+  timer.start(1000, tick);
+  sim.run();
+  EXPECT_EQ(fires, 5);
+  EXPECT_EQ(sim.now(), 5000);
+  EXPECT_FALSE(timer.armed());
 }
 
 TEST(SchedulerEquivalence, CancelReleasesClosureEagerly) {
-  // The cancelled event's closure must be destroyed at cancel time (both
-  // schedulers), not when the deadline passes — a cancelled retransmit
-  // timer must not pin its segment buffers for the rest of the run.
-  for (auto kind : {SchedulerKind::kTimingWheel, SchedulerKind::kLegacyHeap}) {
-    Simulator sim(kind);
-    auto token = std::make_shared<int>(42);
-    std::weak_ptr<int> observe = token;
-    EventId id = sim.schedule_after(1'000'000'000, [token] { (void)*token; });
-    token.reset();
-    EXPECT_FALSE(observe.expired());
-    sim.cancel(id);
-    EXPECT_TRUE(observe.expired()) << "kind=" << static_cast<int>(kind);
-  }
+  // The cancelled event's closure must be destroyed at cancel time, not
+  // when the deadline passes — a cancelled retransmit timer must not pin
+  // its segment buffers for the rest of the run.
+  Simulator sim;
+  auto token = std::make_shared<int>(42);
+  std::weak_ptr<int> observe = token;
+  EventId id = sim.schedule_after(1'000'000'000, [token] { (void)*token; });
+  token.reset();
+  EXPECT_FALSE(observe.expired());
+  sim.cancel(id);
+  EXPECT_TRUE(observe.expired());
 }
 
 }  // namespace
