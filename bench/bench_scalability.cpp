@@ -95,7 +95,6 @@ ScaleChurnResult churn_at_scale(int sessions, bool batching) {
   if (batching) {
     lp.nic.rx_batch_max = 32;
     lp.nic.rx_batch_window = microseconds(400);
-    lp.nic.tx_batch_max = 32;
     lp.nic.gro.max_merged = 32;
   }
 

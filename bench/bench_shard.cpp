@@ -20,17 +20,19 @@
 // scripts/check_bench_json.py); its host snapshots come from the capture
 // run.
 #include <chrono>
-#include <cstdlib>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "bench_util.hpp"
 #include "failover_fixture.hpp"
 #include "ip/arp.hpp"
+#include "ip/datagram.hpp"
 #include "ip/ip_layer.hpp"
 #include "net/frame.hpp"
 #include "net/nic.hpp"
 #include "sim/simulator.hpp"
+#include "tcp/segment.hpp"
 #include "tcp/tcp_layer.hpp"
 
 namespace tfo::bench {
@@ -64,7 +66,6 @@ apps::LanParams shard_lan_params(bool batching) {
   if (batching) {
     lp.nic.rx_batch_max = 32;
     lp.nic.rx_batch_window = microseconds(400);
-    lp.nic.tx_batch_max = 32;
     lp.nic.gro.max_merged = 32;
   }
   return lp;
@@ -92,47 +93,27 @@ struct WireCapture {
   std::uint64_t payload_bytes = 0;  ///< total TCP payload across them
 };
 
-/// Decoded header facts of one echo-connection frame.
-struct EchoFrameInfo {
-  ip::Ipv4 src{}, dst{};
-  std::size_t payload_len = 0;
-  std::uint32_t seq = 0;
-  bool syn = false;
-};
-
-/// True when `f` is a TCP frame of the echo connection (either port is
-/// kPort); fills `*info` from the headers. Filtering matters: the capture
-/// must exclude replica heartbeats and bridge control traffic so the
-/// replay is a pure TCP data stream.
-bool echo_tcp_frame(const net::EthernetFrame& f, EchoFrameInfo* info) {
-  if (f.type != net::EtherType::kIpv4 || f.payload.size() < 20) return false;
-  const std::uint8_t* p = f.payload.data();
-  if ((p[0] >> 4) != 4 || p[9] != 6) return false;  // IPv4 + TCP
-  const std::size_t ihl = std::size_t{static_cast<std::uint8_t>(p[0] & 0x0f)} * 4;
-  const std::size_t total = (std::size_t{p[2]} << 8) | p[3];
-  if (ihl < 20 || total < ihl + 20 || f.payload.size() < ihl + 20) return false;
-  const std::uint8_t* tcp = p + ihl;
-  const auto sport = static_cast<std::uint16_t>((tcp[0] << 8) | tcp[1]);
-  const auto dport = static_cast<std::uint16_t>((tcp[2] << 8) | tcp[3]);
-  if (sport != kPort && dport != kPort) return false;
-  const std::size_t doff = std::size_t{static_cast<std::uint8_t>(tcp[12] >> 4)} * 4;
-  info->src = ip::Ipv4{(std::uint32_t{p[12]} << 24) | (std::uint32_t{p[13]} << 16) |
-                       (std::uint32_t{p[14]} << 8) | p[15]};
-  info->dst = ip::Ipv4{(std::uint32_t{p[16]} << 24) | (std::uint32_t{p[17]} << 16) |
-                       (std::uint32_t{p[18]} << 8) | p[19]};
-  info->payload_len = total > ihl + doff ? total - ihl - doff : 0;
-  info->seq = (std::uint32_t{tcp[4]} << 24) | (std::uint32_t{tcp[5]} << 16) |
-              (std::uint32_t{tcp[6]} << 8) | tcp[7];
-  info->syn = (tcp[13] & 0x02) != 0;
-  return true;
+/// The echo connection's TCP segment in `f` (either port is kPort), or
+/// nullopt for anything else. Filtering matters: the capture must exclude
+/// replica heartbeats and bridge control traffic so the replay is a pure
+/// TCP data stream.
+std::optional<tcp::TcpSegment> echo_segment(const net::EthernetFrame& f,
+                                            ip::Ipv4* src, ip::Ipv4* dst) {
+  if (f.type != net::EtherType::kIpv4) return std::nullopt;
+  auto d = ip::IpDatagram::parse(f.payload);
+  if (!d || d->proto != ip::Proto::kTcp) return std::nullopt;
+  auto seg = tcp::TcpSegment::parse(d->payload, d->src, d->dst);
+  if (!seg || (seg->src_port != kPort && seg->dst_port != kPort)) return std::nullopt;
+  *src = d->src;
+  *dst = d->dst;
+  return seg;
 }
 
 /// Runs a bulk echo transfer on the legacy path and records the echo
 /// connection's frame stream off the secondary's NIC. Frame copies share
 /// the wire buffers (CoW), so the capture costs refcounts, not byte
-/// copies. With `json` set, the run's primary and client snapshots go
-/// into the artifact.
-WireCapture capture_echo_stream(std::size_t bytes, BenchJson* json) {
+/// copies. The run's primary and client snapshots go into `json`.
+WireCapture capture_echo_stream(std::size_t bytes, BenchJson& json) {
   const apps::LanParams lp = shard_lan_params(false);
   Testbed t;
   std::unique_ptr<apps::EchoServer> e1, e2;
@@ -147,23 +128,24 @@ WireCapture capture_echo_stream(std::size_t bytes, BenchJson* json) {
   cap.server_ip = t.server_addr();
   t.lan->secondary->nic().add_observer(
       [&cap](const net::EthernetFrame& f, bool /*to_us*/) {
-        EchoFrameInfo fi;
-        if (!echo_tcp_frame(f, &fi)) return;
-        if (fi.src == cap.server_ip) {
+        ip::Ipv4 src, dst;
+        const auto seg = echo_segment(f, &src, &dst);
+        if (!seg) return;
+        if (src == cap.server_ip) {
           // Server->client frames are not replayed, but the wire SYN-ACK
           // carries the ISN the client's acks are built against — the
           // replay rig must issue the same one.
-          if (fi.syn && !cap.have_isn) {
-            cap.server_isn = fi.seq;
+          if (seg->syn() && !cap.have_isn) {
+            cap.server_isn = seg->seq;
             cap.have_isn = true;
           }
           return;
         }
-        if (fi.dst != cap.server_ip) return;
+        if (dst != cap.server_ip) return;
         if (cap.frames.empty()) cap.server_mac = f.dst;
         cap.frames.push_back(f);
-        if (fi.payload_len > 0) ++cap.data_segments;
-        cap.payload_bytes += fi.payload_len;
+        if (!seg->payload.empty()) ++cap.data_segments;
+        cap.payload_bytes += seg->payload.size();
       });
   test::EchoDriver d(t.client(), t.server_addr(), kPort, bytes, 32768);
   if (!t.run_until([&] { return d.done(); }, seconds(3600)) || !d.verify() ||
@@ -171,10 +153,8 @@ WireCapture capture_echo_stream(std::size_t bytes, BenchJson* json) {
     std::fprintf(stderr, "capture transfer did not complete\n");
     cap.frames.clear();
   }
-  if (json != nullptr) {
-    json->capture_host(*t.lan->primary);
-    json->capture_host(*t.lan->client);
-  }
+  json.capture_host(*t.lan->primary);
+  json.capture_host(*t.lan->client);
   return cap;
 }
 
@@ -243,22 +223,9 @@ int main(int argc, char** argv) {
   using namespace tfo;
   using namespace tfo::bench;
   const bool quick = argc > 1 && std::string(argv[1]) == "--quick";
-  print_header("E8: batched data path — batched frames and GRO",
+  print_header("E10: batched data path — batched frames and GRO",
                "extension (no table in the paper): receive-path cost of the "
                "failover data path");
-
-  // Profiling hook: TFO_REPLAY_PROFILE=legacy|batched loops one replay leg
-  // so a sampling profiler sees only that path. Not part of the bench run.
-  if (const char* prof = std::getenv("TFO_REPLAY_PROFILE")) {
-    const bool batching = std::string(prof) == "batched";
-    const WireCapture cap = capture_echo_stream(16u * 1024 * 1024, nullptr);
-    std::uint64_t bytes = 0;
-    for (int i = 0; i < 10; ++i) {
-      const XferResult r = replay_rx_path(cap, batching, &bytes);
-      std::printf("replay %s: %.3fs\n", prof, r.wall_s);
-    }
-    return 0;
-  }
 
   BenchJson json("shard");
 
@@ -269,7 +236,7 @@ int main(int argc, char** argv) {
               "batched+GRO\n",
               capture_bytes >> 20);
   std::fflush(stdout);
-  const WireCapture cap = capture_echo_stream(capture_bytes, &json);
+  const WireCapture cap = capture_echo_stream(capture_bytes, json);
   if (cap.frames.empty() || cap.data_segments < 1000) {
     std::fprintf(stderr, "FAIL: capture produced %zu frames / %llu data segments\n",
                  cap.frames.size(),

@@ -173,8 +173,28 @@ PACKET_PATH_ALLOC_CEILINGS = {
 }
 
 
+# bench_packet_path's diversion path alone (snoop, §3.1 rewrite, re-emit)
+# at a 512 B payload. It measures exactly 1 allocation and 532 copied bytes
+# per segment: the copy-on-write of the snooped share (TCP header +
+# payload). The copying path it replaced made 6.00 allocations per segment.
+PACKET_PATH_DIVERT_PAYLOAD = 512
+PACKET_PATH_DIVERT_CEILINGS = {"allocs_per_seg": 1.0, "copied_bytes_per_seg": 532}
+
+
 def _check_packet_path(pp):
     _expect(isinstance(pp, dict), "'packet_path' is not an object")
+    divert = pp.get("divert")
+    _expect(isinstance(divert, dict), "packet_path.divert must be an object")
+    _expect(divert.get("payload") == PACKET_PATH_DIVERT_PAYLOAD,
+            f"packet_path.divert.payload {divert.get('payload')!r}, expected "
+            f"{PACKET_PATH_DIVERT_PAYLOAD}")
+    for key, ceiling in PACKET_PATH_DIVERT_CEILINGS.items():
+        _expect(key in divert, f"packet_path.divert missing '{key}'")
+        _expect(isinstance(divert[key], (int, float)) and divert[key] >= 0,
+                f"packet_path.divert.{key} is not a non-negative number")
+        _expect(divert[key] <= ceiling,
+                f"packet_path.divert.{key} {divert[key]} above the {ceiling} "
+                "ceiling")
     live = pp.get("live")
     _expect(isinstance(live, list) and live,
             "packet_path.live must be a non-empty list")
@@ -424,6 +444,8 @@ def self_test():
             "alloc": {"cycles": 200000, "wheel_allocs": 0},
         },
         "packet_path": {
+            "divert": {"payload": 512, "allocs_per_seg": 1.0,
+                       "copied_bytes_per_seg": 532.0},
             "live": [
                 {"rx_path": "per_frame", "diverted": 57, "frames": 187,
                  "allocs": 1330, "allocs_per_div_seg": 23.3,
@@ -524,6 +546,14 @@ def self_test():
          lambda d: d["storm"]["alloc"].pop("wheel_allocs")),
         ("storm timer cycle allocates", lambda d: d["storm"]["alloc"].update(
             wheel_allocs=1)),
+        ("packet_path missing divert", lambda d: d["packet_path"].pop("divert")),
+        ("packet_path divert at another payload",
+         lambda d: d["packet_path"]["divert"].update(payload=1460)),
+        # The copying diversion path the zero-copy one replaced.
+        ("packet_path divert allocs at the copying path's 6.00",
+         lambda d: d["packet_path"]["divert"].update(allocs_per_seg=6.0)),
+        ("packet_path divert copied bytes above ceiling",
+         lambda d: d["packet_path"]["divert"].update(copied_bytes_per_seg=533.0)),
         ("packet_path missing live", lambda d: d["packet_path"].pop("live")),
         ("packet_path row missing allocs_per_frame",
          lambda d: d["packet_path"]["live"][0].pop("allocs_per_frame")),

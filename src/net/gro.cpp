@@ -14,6 +14,9 @@ constexpr std::size_t kIpHdr = 20;
 constexpr std::size_t kTcpHdr = 20;
 constexpr std::uint8_t kFlagPsh = 0x08;
 constexpr std::uint8_t kFlagAck = 0x10;
+/// Cap on a merged segment's TCP payload: well under the receive window,
+/// and under the 16-bit IP total length with both headers added.
+constexpr std::size_t kMaxMergedPayload = 60000;
 
 std::uint16_t get16(const std::uint8_t* p) {
   return static_cast<std::uint16_t>((p[0] << 8) | p[1]);
@@ -194,7 +197,7 @@ void gro_coalesce(const GroParams& params, std::vector<RxFrame>& in,
       continue;
     }
     if (!run.empty() && run.size() < params.max_merged &&
-        run_payload + c.payload_len <= params.max_payload &&
+        run_payload + c.payload_len <= kMaxMergedPayload &&
         continues_run(in[run.front()].frame, cands.front(), next_seq,
                       in[i].frame, c)) {
       run.push_back(i);

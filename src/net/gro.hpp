@@ -34,8 +34,6 @@ struct RxFrame {
 struct GroParams {
   /// Maximum constituent segments folded into one merged segment.
   std::size_t max_merged = 8;
-  /// Cap on the merged TCP payload (stays well under the receive window).
-  std::size_t max_payload = 60000;
 };
 
 struct GroStats {

@@ -42,31 +42,7 @@ void Nic::send(EthernetFrame frame) {
   tx_bytes_ += frame.payload.size();
   TFO_LOG(kTrace, "nic") << name_ << " tx " << frame.payload.size() << "B -> "
                          << frame.dst.str();
-  if (params_.tx_batch_max > 1) {
-    // Tx burst ring: stage the frame and flush the whole burst to the
-    // medium at the end of the current event (one medium transaction per
-    // burst, frames still enter the wire in send order).
-    tx_ring_.push_back(std::move(frame));
-    if (tx_ring_.size() >= params_.tx_batch_max) {
-      flush_tx();
-    } else if (!tx_flush_scheduled_) {
-      tx_flush_scheduled_ = true;
-      sim_.schedule_after(0, [this] { flush_tx(); });
-    }
-    return;
-  }
   medium_->transmit(this, std::move(frame));
-}
-
-void Nic::flush_tx() {
-  tx_flush_scheduled_ = false;
-  if (tx_ring_.empty()) return;
-  std::vector<EthernetFrame> burst;
-  burst.swap(tx_ring_);
-  if (!enabled_ || medium_ == nullptr) return;  // crashed mid-burst: drop
-  ++batch_stats_.tx_batches;
-  batch_stats_.tx_frames_batched += burst.size();
-  for (EthernetFrame& f : burst) medium_->transmit(this, std::move(f));
 }
 
 void Nic::deliver(const EthernetFrame& frame) {

@@ -42,10 +42,6 @@ struct NicParams {
   /// Extra time beyond rx_processing a partial batch waits for more
   /// frames before flushing (the interrupt-coalescing window).
   SimDuration rx_batch_window = 0;
-  /// Tx batching: with a value > 1 outbound frames are staged in a ring
-  /// flushed to the medium at the end of the current event (one burst).
-  /// 0/1 transmits immediately.
-  std::size_t tx_batch_max = 1;
   /// GRO coalescing limits (effective only with rx batching on).
   GroParams gro;
 };
@@ -55,8 +51,6 @@ struct NicParams {
 struct NicBatchStats {
   std::uint64_t rx_batches = 0;       ///< rx ring flushes
   std::uint64_t frames_batched = 0;   ///< frames that went through a batch
-  std::uint64_t tx_batches = 0;       ///< tx ring flushes
-  std::uint64_t tx_frames_batched = 0;
 };
 
 class Nic {
@@ -107,7 +101,6 @@ class Nic {
  private:
   void enqueue_rx(const EthernetFrame& frame, bool to_us);
   void flush_rx();
-  void flush_tx();
 
   sim::Simulator& sim_;
   std::string name_;
@@ -123,7 +116,7 @@ class Nic {
   Rng jitter_rng_;
   SimTime rx_floor_ = 0;  // monotonic delivery-time floor
 
-  // Batched data path (rx_batch_max / tx_batch_max > 1). The rx rings and
+  // Batched receive path (rx_batch_max > 1). The rx rings and
   // the GRO storage live as long as the NIC and are cleared, never freed,
   // between batches: a steady-state flush allocates no bookkeeping.
   std::vector<RxFrame> rx_ring_;   // arrivals staged for the next flush
@@ -132,8 +125,6 @@ class Nic {
   GroScratch gro_scratch_;
   sim::EventId rx_flush_event_ = sim::kNoEvent;
   SimTime rx_flush_floor_ = 0;  // first arrival + rx_processing
-  std::vector<EthernetFrame> tx_ring_;
-  bool tx_flush_scheduled_ = false;
   NicBatchStats batch_stats_;
   GroStats gro_stats_;
 };

@@ -17,11 +17,12 @@ using test::run_until;
 
 /// Runs a full scenario (transfer + mid-way primary crash + completion)
 /// and returns a canonical trace of every frame the client saw.
-std::string run_scenario(std::uint64_t lan_seed, double loss, std::uint64_t loss_seed) {
+std::string run_scenario(std::uint64_t lan_seed, double loss,
+                         std::uint64_t impairment_seed) {
   apps::LanParams lp;
   lp.seed = lan_seed;
-  lp.medium.loss_probability = loss;
-  lp.medium.loss_seed = loss_seed;
+  lp.medium.impairment.loss = loss;
+  lp.medium.impairment.seed = impairment_seed;
   lp.tcp.max_rto = seconds(5);
   auto r = test::make_replicated_lan(lp);
   apps::FrameTracer at_client(r->sim(), r->client().nic());

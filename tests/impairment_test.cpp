@@ -384,13 +384,13 @@ TEST(ImpairmentMedium, CorruptedCopyDiffersOnTheWire) {
   EXPECT_EQ(wire.impairment().counters().corrupted, 1u);
 }
 
-TEST(ImpairmentMedium, LegacyLossKnobStillConfiguresPipeline) {
-  // The pre-pipeline loss_probability/loss_seed pair must keep working as
-  // a thin wrapper over the uniform-loss stage.
+TEST(ImpairmentMedium, UniformLossConfiguresPipeline) {
+  // A medium's uniform loss is the impairment pipeline's uniform-loss
+  // stage, seeded from the medium's parameters.
   sim::Simulator sim;
   SharedMediumParams mp;
-  mp.loss_probability = 0.5;
-  mp.loss_seed = 7;
+  mp.impairment.loss = 0.5;
+  mp.impairment.seed = 7;
   SharedMedium wire(sim, mp);
   EXPECT_TRUE(wire.impairment().enabled());
   EXPECT_DOUBLE_EQ(wire.impairment().params().loss, 0.5);

@@ -159,8 +159,8 @@ TEST_F(NetFixture, PerReceiverLossRule) {
 }
 
 TEST_F(NetFixture, UniformLossDropsSomeFrames) {
-  mp.loss_probability = 0.5;
-  mp.loss_seed = 7;
+  mp.impairment.loss = 0.5;
+  mp.impairment.seed = 7;
   build();
   for (int i = 0; i < 100; ++i) a->send(frame_to(*b, 64));
   sim.run();
@@ -286,6 +286,36 @@ TEST(PointToPoint, QueueLimitDropsTail) {
   sim.run();
   EXPECT_EQ(got, 4);
   EXPECT_EQ(link.drops_queue(), 6u);
+}
+
+TEST(PointToPoint, UniformLossIsSeeded) {
+  // The fig6 WAN link's uniform loss: the drop schedule is a function of
+  // the seed alone, so the count for a fixed frame sequence is pinned.
+  sim::Simulator sim;
+  PointToPointParams pp;
+  pp.bandwidth_bps = 1'500'000;
+  pp.impairment.loss = 0.002;
+  pp.impairment.seed = 43;
+  pp.queue_limit = 40;
+  PointToPointLink link(sim, pp);
+  NicParams np;
+  np.rx_processing = 0;
+  Nic a(sim, "a", MacAddress::from_id(1), np), b(sim, "b", MacAddress::from_id(2), np);
+  a.attach(link);
+  b.attach(link);
+  std::uint64_t got = 0;
+  b.set_rx_handler([&](const EthernetFrame&, bool) { ++got; });
+  constexpr std::uint64_t kFrames = 20000;
+  for (std::uint64_t i = 0; i < kFrames; ++i) {
+    EthernetFrame f;
+    f.dst = b.mac();
+    f.payload = Bytes(64, 1);
+    a.send(std::move(f));
+    sim.run();  // one frame in flight at a time: no queue drops
+  }
+  EXPECT_EQ(link.drops_queue(), 0u);
+  EXPECT_EQ(link.drops_loss(), 46u);
+  EXPECT_EQ(got + link.drops_loss(), kFrames);
 }
 
 }  // namespace
